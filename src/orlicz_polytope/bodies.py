@@ -398,7 +398,9 @@ def project_uniform(body: BodySpec, theta: Direction, count: int, seed: int) -> 
     for idx, start, size in _chunk_ranges(count):
         view = buf[:size]
         _fill_chunk(body, view, seed, idx)
-        out[start : start + size] = view @ theta.coords
+        # einsum, not BLAS: a BLAS product starts its own threads inside
+        # every MC worker process, where they spin for no gain
+        out[start : start + size] = np.einsum("ij,j->i", view, theta.coords)
     return out
 
 

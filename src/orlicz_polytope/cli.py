@@ -260,15 +260,17 @@ def resolve_direction(cfg: RunConfig, body: BodySpec):
 # ---------------------------------------------------------------------------
 # manifest
 
-def write_manifest(cfg: RunConfig, out_dir: Path, wall_time: float, step_seeds: dict) -> None:
+def write_manifest(cfg: RunConfig, out_dir: Path, step_seeds: dict, timings: dict) -> None:
+    """manifest.json, a pure function of the config, and the wall times of
+    the run in timings.json, kept apart so that replay is byte-identical."""
     manifest = {
         "config": cfg.echo(),
         "library_version": __version__,
         "rng_algorithm": RNG_ALGORITHM,
-        "wall_time_s": wall_time,
         "per_step_seeds": step_seeds,
     }
     write_text(out_dir / "manifest.json", dumps_json(manifest))
+    write_text(out_dir / "timings.json", dumps_json(timings))
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -347,7 +349,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
         "ci": ci,
         "ratio": ratio,
         "seed": cfg.seed,
-        "timings": {"mc_s": timing, "total_s": time.perf_counter() - t0},
     }
     write_text(out / "report.json", dumps_json(report))
     lines = ["N,orlicz_value,mc_mean,ci_lo,ci_hi,ratio"]
@@ -355,7 +356,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
     row += [fmt(v) for v in ((mc_mean, *ci, ratio) if mc_mean is not None else ())] or ["", "", "", ""]
     lines.append(",".join(row))
     write_text(out / "report.csv", "\n".join(lines) + "\n")
-    write_manifest(cfg, out, time.perf_counter() - t0, {"estimate": cfg.seed})
+    write_manifest(
+        cfg, out, {"estimate": cfg.seed}, {"mc_s": timing, "total_s": time.perf_counter() - t0}
+    )
     if mc_mean is None:
         print(f"orlicz {fmt(orlicz_value)} (MC disabled)")
     else:
@@ -407,7 +410,7 @@ def cmd_scan(cfg: RunConfig) -> int:
         body, direction, cfg.N_grid, trials=cfg.trials, seed=cfg.seed, threads=cfg.threads
     )
     _scan_outputs(cfg, out, result, "support-function growth")
-    write_manifest(cfg, out, time.perf_counter() - t0, {"scan": cfg.seed})
+    write_manifest(cfg, out, {"scan": cfg.seed}, {"total_s": time.perf_counter() - t0})
     print(f"exponent {fmt(result.fitted_exponent)} r2 {fmt(result.fit_r2)}")
     return 0
 
@@ -422,7 +425,7 @@ def cmd_meanwidth(cfg: RunConfig) -> int:
         body, cfg.N_grid, trials=cfg.trials, n_dirs=cfg.dirs, seed=cfg.seed, threads=cfg.threads
     )
     _scan_outputs(cfg, out, result, "mean-width growth")
-    write_manifest(cfg, out, time.perf_counter() - t0, {"meanwidth": cfg.seed})
+    write_manifest(cfg, out, {"meanwidth": cfg.seed}, {"total_s": time.perf_counter() - t0})
     print(f"exponent {fmt(result.fitted_exponent)} r2 {fmt(result.fit_r2)}")
     return 0
 
@@ -455,7 +458,7 @@ def cmd_directions(cfg: RunConfig) -> int:
         "calibration": "thresholds at 4x and 1/4x the median estimate",
     }
     write_text(out / "summary.json", dumps_json(summary))
-    write_manifest(cfg, out, time.perf_counter() - t0, {"directions": cfg.seed})
+    write_manifest(cfg, out, {"directions": cfg.seed}, {"total_s": time.perf_counter() - t0})
     print(
         f"fraction_upper {fmt(scan.fraction_upper)} fraction_lower {fmt(scan.fraction_lower)}"
     )
@@ -471,7 +474,7 @@ def cmd_tabulate_m(cfg: RunConfig) -> int:
 
     fn = build_direction_orlicz(body, direction, seed=cfg.seed)
     orlicz.export_tabulation(fn, out / "m_table.csv")
-    write_manifest(cfg, out, time.perf_counter() - t0, {"tabulate": cfg.seed})
+    write_manifest(cfg, out, {"tabulate": cfg.seed}, {"total_s": time.perf_counter() - t0})
     print(f"tabulated {fn.kind} Orlicz function -> {out / 'm_table.csv'}")
     return 0
 
@@ -580,7 +583,7 @@ def cmd_validate(cfg: RunConfig, perturb: bool = False) -> int:
         out / "validate.json",
         dumps_json({"checks": checks, "all_passed": all_pass, "perturbed": perturb}),
     )
-    write_manifest(cfg, out, time.perf_counter() - t0, {"validate": cfg.seed})
+    write_manifest(cfg, out, {"validate": cfg.seed}, {"total_s": time.perf_counter() - t0})
     for check in checks:
         status = "pass" if check["passed"] else "FAIL"
         print(f"{status} {check['name']}: observed {check['observed']:.3e} tol {check['tolerance']:.3e}")

@@ -26,6 +26,7 @@ from .bodies import (
     BodySpec,
     Direction,
     MarginalDensity,
+    coordinate_marginal,
     derive_seed,
     isotropic_constant,
     marginal_general,
@@ -41,7 +42,6 @@ from .orlicz import (
     OrliczFunction,
     from_cube,
     from_empirical,
-    from_pball,
     from_tail,
     invert_for_support,
     spherical_prefactor,
@@ -193,22 +193,24 @@ def build_direction_orlicz(
 ) -> OrliczFunction:
     """Orlicz function of <X, theta> for X uniform in the body.
 
-    Closed forms when available: the cube marginal for p = inf on a
-    canonical axis, the l_p closed forms on canonical axes, and (by
-    rotational invariance) the p = 2 closed form for every direction.
-    Other directions go through an empirical projection histogram.
+    The cube marginal for p = inf on a canonical axis; the stop-loss
+    integral of the exact coordinate marginal on other canonical axes and,
+    by rotational invariance, for p = 2 in every direction.  Other
+    directions go through an empirical projection histogram.
     """
     theta = _resolve_direction(body, direction)
     if not body.normalized:
         raise DomainError("Orlicz constructions assume the volume-1 body")
-    if body.p == 2.0:
-        return from_pball(2.0, body.n, quad=quad)
-    if _is_canonical(theta):
+    if body.p == 2.0 or _is_canonical(theta):
         if math.isinf(body.p):
             return from_cube()
-        return from_pball(body.p, body.n, quad=quad)
+        return _coordinate_orlicz(body, quad)
     marg = marginal_general(body, theta, proj_samples, derive_seed(seed, "marginal"))
     return from_tail(MTailSpec(marg, quad))
+
+
+def _coordinate_orlicz(body: BodySpec, quad: QuadratureSpec) -> OrliczFunction:
+    return from_tail(MTailSpec(coordinate_marginal(body, quad), quad))
 
 
 def expected_support_orlicz(
@@ -235,7 +237,7 @@ def direction_support_profile(
     """Orlicz estimates for each direction row; one value reused for p = 2."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     if body.p == 2.0:
-        value = invert_for_support(from_pball(2.0, body.n, quad=quad), N)
+        value = invert_for_support(_coordinate_orlicz(body, quad), N)
         return np.full(dirs.shape[0], value)
     out = np.empty(dirs.shape[0])
     for i, row in enumerate(dirs):
@@ -552,7 +554,7 @@ def direction_measure_scan(
         raise DomainError("r must be positive")
     dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "scan-dirs"))
     if body.p == 2.0:
-        value = invert_for_support(from_pball(2.0, body.n), N)
+        value = invert_for_support(_coordinate_orlicz(body, DEFAULT_QUAD), N)
         estimates = np.full(n_dirs, value)
     else:
         cloud = sample_uniform(body, proj_samples, derive_seed(seed, "scan-cloud")).points

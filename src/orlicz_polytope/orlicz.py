@@ -294,10 +294,18 @@ def m_pball_first(p: float, n: int, s: float, quad: QuadratureSpec = DEFAULT_QUA
 
 def m_pball_second(p: float, n: int, s: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Same value as m_pball_first through the second representation,
-    led by the fully closed term; for p = 1 only that term survives."""
+    led by the fully closed term; for p = 1 only that term survives.
+
+    For p > 2 the form is refused below CONSISTENCY_BAND[0] of the support,
+    where its cancellation exceeds double precision.
+    """
     radius, theta_max, ratio = _pball_setup(p, n, s)
     if theta_max is None:
         return 0.0
+    if p > 2.0 and s < CONSISTENCY_BAND[0] * radius:
+        raise DomainError(
+            f"the second closed form is ill-conditioned for p > 2 below s/R = {CONSISTENCY_BAND[0]}"
+        )
     quad = quad.rel_only()
     x = (s / radius) ** p
     if x >= 1.0:
@@ -427,12 +435,35 @@ def from_pball(
 
 
 def from_tail(spec: MTailSpec) -> OrliczFunction:
-    """Tail-integral Orlicz function of an arbitrary marginal."""
-    return OrliczFunction(
-        eval=lambda t: m_from_tail(spec, t),
-        zero_threshold=1.0 / spec.marginal.support_radius,
-        kind="tail-integral" if spec.marginal.hist_edges is None else "empirical",
-    )
+    """Tail-integral Orlicz function of an arbitrary marginal.
+
+    By Fubini the defining double integral is the stop-loss expectation
+    M(t) = E (t|<X,theta>| - 1)_+ = int_{1/t}^R 2 f(r) (t r - 1) dr, which a
+    density-backed marginal evaluates with one quadrature.  Histogram
+    marginals keep the exact per-bin form of m_from_tail.
+    """
+    marg = spec.marginal
+    radius = marg.support_radius
+    if marg.hist_edges is not None:
+        return OrliczFunction(
+            eval=lambda t: m_from_tail(spec, t),
+            zero_threshold=1.0 / radius,
+            kind="empirical",
+        )
+    quad = spec.quad.rel_only()
+
+    def ev(t: float) -> float:
+        if t < 0:
+            raise DomainError("M is defined for t >= 0")
+        if t * radius <= 1.0:
+            return 0.0
+        return quad_adaptive(
+            lambda r: 2.0 * np.asarray(marg.density(r), dtype=float) * (t * r - 1.0),
+            Interval(1.0 / t, radius),
+            quad,
+        )
+
+    return OrliczFunction(eval=ev, zero_threshold=1.0 / radius, kind="tail-integral")
 
 
 def from_empirical(projections: Sequence[float]) -> OrliczFunction:
@@ -563,8 +594,7 @@ def invert_for_support(M: OrliczFunction, N: int) -> float:
     while phi(lo) <= level:
         lo /= 2.0
         if lo < s_ref / BRACKET_LIMIT:
-            # M never exceeds 1/N on the representable range
-            return lo
+            raise RangeError("M(1/s) stays at or below 1/N within the bracketing range")
     # invariant: phi(lo) > level >= phi(hi)
     while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)

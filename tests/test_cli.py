@@ -81,9 +81,22 @@ class TestEstimateCommand:
     def test_bad_direction_exit_2(self, tmp_path):
         assert run(tmp_path, "estimate", "--p", "2", "--n", "4", "--N", "10", "--dir", "e9") == 2
 
+    def test_replay_byte_identical(self, tmp_path):
+        # wall times go to timings.json, so the report and manifest repeat exactly
+        args = ["estimate", "--p", "1", "--n", "5", "--N", "200", "--trials", "6", "--seed", "3"]
+        files = ("report.json", "report.csv", "manifest.json")
+        assert run(tmp_path, *args) == 0
+        first = {name: (tmp_path / "out" / name).read_bytes() for name in files}
+        assert run(tmp_path, *args) == 0
+        for name in files:
+            assert (tmp_path / "out" / name).read_bytes() == first[name]
+        timings = read_json(tmp_path, "timings.json")
+        assert set(timings) == {"mc_s", "total_s"}
+        assert timings["total_s"] >= timings["mc_s"] > 0
+
     def test_lf_endings(self, tmp_path):
         run(tmp_path, "estimate", "--p", "inf", "--n", "3", "--N", "2", "--trials", "0")
-        for name in ("report.json", "report.csv", "manifest.json"):
+        for name in ("report.json", "report.csv", "manifest.json", "timings.json"):
             assert b"\r" not in (tmp_path / "out" / name).read_bytes()
 
 
@@ -145,6 +158,7 @@ class TestDirectionsCommand:
         assert total == pytest.approx(1.0, abs=1e-12)
         lines = (tmp_path / "out" / "directions.csv").read_text().strip().split("\n")
         assert len(lines) == 1001
+        assert set(read_json(tmp_path, "timings.json")) == {"total_s"}
 
 
 class TestValidateCommand:
@@ -176,3 +190,4 @@ class TestTabulateCommand:
         assert lines[0] == "t,M"
         values = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
         assert all(b >= a for (_, a), (_, b) in zip(values, values[1:]))
+        assert set(read_json(tmp_path, "timings.json")) == {"total_s"}

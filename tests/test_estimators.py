@@ -16,6 +16,7 @@ from orlicz_polytope.bodies import (
 from orlicz_polytope.errors import DomainError, HypothesisError
 from orlicz_polytope.estimators import (
     PolytopeExperiment,
+    build_direction_orlicz,
     check_profile_hypotheses,
     direction_measure_scan,
     direction_support_profile,
@@ -57,6 +58,18 @@ class TestExpectedSupportOrlicz:
         v3 = expected_support_orlicz(body, 0, 10**3)
         v6 = expected_support_orlicz(body, 0, 10**6)
         assert v6 / v3 == pytest.approx(2.0, rel=0.25)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    def test_canonical_directions_use_stop_loss(self, p):
+        assert build_direction_orlicz(BodySpec(p, 10), 0).kind == "tail-integral"
+
+    def test_ball_random_direction_uses_stop_loss(self):
+        body = BodySpec(2.0, 10)
+        theta = Direction(sample_sphere(10, 1, derive_seed(3, "dir"))[0])
+        M = build_direction_orlicz(body, theta)
+        assert M.kind == "tail-integral"
+        t = 2.0 * M.zero_threshold
+        assert M.eval(t) == build_direction_orlicz(body, 0).eval(t)
 
     def test_empirical_direction_path(self):
         # non-canonical direction on the cube goes through the histogram route

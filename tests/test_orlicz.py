@@ -9,6 +9,7 @@ from orlicz_polytope.bodies import (
     Direction,
     coordinate_marginal,
     derive_seed,
+    marginal_general,
     normalization_scale,
     project_uniform,
     sample_sphere,
@@ -24,6 +25,7 @@ from orlicz_polytope.orlicz import (
     from_pball,
     from_power,
     from_spherical,
+    from_tail,
     invert_for_support,
     legendre_dual,
     luxemburg_norm,
@@ -103,6 +105,48 @@ class TestTailIntegral:
             exact = m_from_tail(spec, s)
             brute = m_from_tail(MTailSpec(generic), s)
             assert exact == pytest.approx(brute, rel=1e-8, abs=1e-12)
+            assert from_tail(spec).eval(s) == exact
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_histogram_from_tail_keeps_exact_path(self, p):
+        body = BodySpec(p, 30)
+        theta = Direction.from_vector(np.arange(1.0, 31.0))
+        spec = MTailSpec(marginal_general(body, theta, 10**5, derive_seed(7, "hist", int(p))))
+        M = from_tail(spec)
+        assert M.kind == "empirical"
+        radius = spec.marginal.support_radius
+        for t in np.linspace(0.5 / radius, 20.0 / radius, 41):
+            assert M.eval(float(t)) == m_from_tail(spec, float(t))
+
+
+class TestStopLoss:
+    """from_tail on density marginals is the single stop-loss quadrature;
+    the defining double integral and closed form 1 are its oracles, over
+    the s/R range where the estimator's inversions land (0.105-0.98)."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("n", [10, 30])
+    def test_operating_range(self, p, n):
+        body = BodySpec(p, n)
+        spec = MTailSpec(coordinate_marginal(body))
+        M = from_tail(spec)
+        assert M.kind == "tail-integral"
+        radius = normalization_scale(body)
+        for frac in (0.1, 0.3, 0.6, 0.98):
+            s = frac * radius
+            got = M.eval(1.0 / s)
+            assert got == pytest.approx(m_from_tail(spec, 1.0 / s), rel=1e-8)
+            assert got == pytest.approx(m_pball_first(p, n, s), rel=1e-8)
+
+    def test_zero_at_and_below_threshold(self):
+        spec = MTailSpec(coordinate_marginal(BodySpec(3.0, 10)))
+        M = from_tail(spec)
+        assert M.eval(M.zero_threshold) == 0.0
+        assert M.eval(0.5 * M.zero_threshold) == 0.0
+        assert M.eval(0.0) == 0.0
+        assert M.eval(1.001 * M.zero_threshold) > 0.0
+        with pytest.raises(DomainError):
+            M.eval(-1.0)
 
 
 class TestClosedForms:
@@ -133,6 +177,14 @@ class TestClosedForms:
         want = m_from_tail(MTailSpec(coordinate_marginal(body)), 1.0 / s)
         assert m_pball_first(3.0, 6, s) == pytest.approx(want, rel=1e-7)
         assert m_pball_second(3.0, 6, s) == pytest.approx(want, rel=1e-7)
+
+    @pytest.mark.parametrize("n, frac", [(10, 0.05), (30, 0.1), (10, 0.29)])
+    def test_second_form_refused_below_band(self, n, frac):
+        s = frac * normalization_scale(BodySpec(6.0, n))
+        with pytest.raises(DomainError):
+            m_pball_second(6.0, n, s)
+        with pytest.raises(DomainError):
+            from_pball(6.0, n, form="second").eval(1.0 / s)
 
     @pytest.mark.parametrize("n", [3, 12])
     def test_p1_explicit_formula(self, n):
@@ -314,6 +366,14 @@ class TestInversion:
         stuck = OrliczFunction(eval=lambda t: 1e9 if t > 0 else 0.0, zero_threshold=0.0, kind="power")
         with pytest.raises(RangeError):
             invert_for_support(stuck, 2)
+
+    def test_range_error_when_level_never_reached(self):
+        # M saturates at 1e-3 < 1/N: no s has M(1/s) > 1/N
+        capped = OrliczFunction(
+            eval=lambda t: min(t - 1.0, 1e-3) if t > 1.0 else 0.0, zero_threshold=1.0, kind="power"
+        )
+        with pytest.raises(RangeError):
+            invert_for_support(capped, 10)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("n", [2, 10, 50])
