@@ -51,7 +51,6 @@ from .mathkit import (
     sincos_recursion,
 )
 from .orlicz import (
-    MTailSpec,
     OrliczFunction,
     invert_for_support,
     legendre_dual,

@@ -180,9 +180,7 @@ class MarginalDensity:
     """Even 1-D density of <X, theta> for X uniform in the body.
 
     density is vectorized over t and vanishes for |t| > support_radius.
-    Histogram-backed marginals carry their one-sided bin data so downstream
-    integrals can be taken exactly; tail_moment(a) = E[|X|; |X| >= a] and
-    survival(a) = P(|X| >= a) are optional exact hooks.
+    Histogram-backed marginals also carry their one-sided bin data.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -190,8 +188,6 @@ class MarginalDensity:
     body: Optional[BodySpec] = None
     direction: Optional[np.ndarray] = None
     kind: str = "closed-form"
-    tail_moment: Optional[Callable[[float], float]] = None
-    survival: Optional[Callable[[float], float]] = None
     hist_edges: Optional[np.ndarray] = None
     hist_density: Optional[np.ndarray] = None
 
@@ -229,24 +225,7 @@ def marginal_coordinate(body: BodySpec, t) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def _pball_tail_moment(body: BodySpec, quad: QuadratureSpec) -> Callable[[float], float]:
-    quad = quad.rel_only()
-    radius = normalization_scale(body)
-
-    def tail(a: float) -> float:
-        if a >= radius:
-            return 0.0
-        a = max(a, 0.0)
-        return quad_adaptive(
-            lambda r: 2.0 * r * marginal_coordinate(body, r),
-            Interval(a, radius),
-            quad,
-        )
-
-    return tail
-
-
-def coordinate_marginal(body: BodySpec, quad: QuadratureSpec = DEFAULT_QUAD) -> MarginalDensity:
+def coordinate_marginal(body: BodySpec) -> MarginalDensity:
     """MarginalDensity for a canonical basis direction of the body."""
     radius = normalization_scale(body)
     direction = np.zeros(body.n)
@@ -259,8 +238,6 @@ def coordinate_marginal(body: BodySpec, quad: QuadratureSpec = DEFAULT_QUAD) -> 
             body=body,
             direction=direction,
             kind="uniform",
-            tail_moment=lambda a: max(radius * radius - max(a, 0.0) ** 2, 0.0),
-            survival=lambda a: max(2.0 * (radius - max(a, 0.0)), 0.0),
         )
     return MarginalDensity(
         density=lambda t: marginal_coordinate(body, t),
@@ -268,34 +245,7 @@ def coordinate_marginal(body: BodySpec, quad: QuadratureSpec = DEFAULT_QUAD) -> 
         body=body,
         direction=direction,
         kind="closed-form",
-        tail_moment=_pball_tail_moment(body, quad.tighter()),
     )
-
-
-def _histogram_hooks(edges: np.ndarray, dens: np.ndarray):
-    # one-sided density g on [0, R]; suffix integrals for survival/first moment
-    widths = np.diff(edges)
-    seg_mass = dens * widths
-    seg_moment = dens * np.diff(edges**2) / 2.0
-    suffix_mass = np.concatenate((np.cumsum(seg_mass[::-1])[::-1], [0.0]))
-    suffix_moment = np.concatenate((np.cumsum(seg_moment[::-1])[::-1], [0.0]))
-    top = edges[-1]
-
-    def survival(a: float) -> float:
-        if a >= top:
-            return 0.0
-        a = max(a, 0.0)
-        i = min(int(np.searchsorted(edges, a, side="right")) - 1, dens.size - 1)
-        return float(dens[i] * (edges[i + 1] - a) + suffix_mass[i + 1])
-
-    def tail_moment(a: float) -> float:
-        if a >= top:
-            return 0.0
-        a = max(a, 0.0)
-        i = min(int(np.searchsorted(edges, a, side="right")) - 1, dens.size - 1)
-        return float(dens[i] * (edges[i + 1] ** 2 - a * a) / 2.0 + suffix_moment[i + 1])
-
-    return survival, tail_moment
 
 
 def marginal_general(
@@ -316,7 +266,6 @@ def marginal_general(
     nbins = int(min(max(round(top / width), 1), 4096))
     counts, edges = np.histogram(proj, bins=nbins, range=(0.0, top))
     g = counts / (samples * (top / nbins))  # one-sided density, integrates to 1
-    survival, tail_moment = _histogram_hooks(edges, g)
 
     def density(t):
         tt = np.abs(np.asarray(t, dtype=float))
@@ -329,8 +278,6 @@ def marginal_general(
         body=body,
         direction=theta.coords.copy(),
         kind="histogram",
-        tail_moment=tail_moment,
-        survival=survival,
         hist_edges=edges,
         hist_density=g,
     )
@@ -360,22 +307,6 @@ def _chunk_ranges(count: int):
         yield idx, start, min(_CHUNK, count - start)
 
 
-def _fill_uniform(body: BodySpec, out: np.ndarray, seed: int) -> None:
-    p, n = body.p, body.n
-    scale = normalization_scale(body)
-    for idx, start, size in _chunk_ranges(out.shape[0]):
-        if math.isinf(p):
-            u = stream(seed, "cube", idx).random((size, n))
-            out[start : start + size] = scale * (2.0 * u - 1.0)
-            continue
-        # |g_i|^p ~ Gamma(1/p, 1); the ratio representation is rejection-free
-        gam = stream(seed, "gamma", idx).standard_gamma(1.0 / p, (size, n))
-        expo = stream(seed, "expo", idx).standard_exponential(size)
-        signs = np.where(stream(seed, "sign", idx).random((size, n)) < 0.5, -1.0, 1.0)
-        radial = (gam.sum(axis=1) + expo) ** (1.0 / p)
-        out[start : start + size] = scale * signs * gam ** (1.0 / p) / radial[:, None]
-
-
 def sample_uniform(body: BodySpec, count: int, seed: int) -> SampleBatch:
     """count i.i.d. uniform points in the body; deterministic given seed.
 
@@ -385,7 +316,8 @@ def sample_uniform(body: BodySpec, count: int, seed: int) -> SampleBatch:
     if count < 1:
         raise DomainError("count must be positive")
     pts = np.empty((count, body.n))
-    _fill_uniform(body, pts, seed)
+    for idx, start, size in _chunk_ranges(count):
+        _fill_chunk(body, pts[start : start + size], seed, idx)
     return SampleBatch(points=pts, seed=seed, body=body)
 
 
@@ -425,7 +357,8 @@ def _fill_chunk(body: BodySpec, view: np.ndarray, seed: int, idx: int) -> None:
         u = stream(seed, "cube", idx).random((size, n))
         view[:] = scale * (2.0 * u - 1.0)
         return
-    gam = stream(seed, "gamma", idx).standard_gamma(1.0 / p, (size, n))
+    # |g_i|^p ~ Gamma(1/p, 1); the ratio representation is rejection-free
+    gam =stream(seed, "gamma", idx).standard_gamma(1.0 / p, (size, n))
     expo = stream(seed, "expo", idx).standard_exponential(size)
     signs = np.where(stream(seed, "sign", idx).random((size, n)) < 0.5, -1.0, 1.0)
     radial = (gam.sum(axis=1) + expo) ** (1.0 / p)

@@ -39,7 +39,6 @@ from .estimators import (
 )
 from .mathkit import Interval, QuadratureSpec, SinCosParams, quad_adaptive, sincos_recursion
 from .orlicz import (
-    MTailSpec,
     build_consistency_grid,
     from_pball,
     from_power,
@@ -246,7 +245,7 @@ def resolve_direction(cfg: RunConfig, body: BodySpec):
         if not 0 <= axis < body.n:
             raise ConfigError(f"axis {spec} outside dimension {body.n}")
         return axis
-    if spec == "random" or spec.startswith("random:"):
+    if spec == "random":
         return Direction(sample_sphere(body.n, 1, derive_seed(cfg.seed, "cli-dir"))[0])
     try:
         vec = [float(v) for v in spec.replace(",", " ").split()]
@@ -505,12 +504,12 @@ def _validate_checks(cfg: RunConfig):
         from .bodies import normalization_scale
 
         s = s_frac * normalization_scale(body)
-        mspec = MTailSpec(coordinate_marginal(body))
+        marg = coordinate_marginal(body)
         vals = [
             m_pball_first(p, n, s),
             m_pball_second(p, n, s),
-            m_from_tail(mspec, 1.0 / s),
-            m_from_tail_alt(mspec, 1.0 / s),
+            m_from_tail(marg, 1.0 / s),
+            m_from_tail_alt(marg, 1.0 / s),
         ]
         hi, lo = max(vals), min(vals)
         if hi > 0:
@@ -567,21 +566,16 @@ def _validate_checks(cfg: RunConfig):
     return checks
 
 
-def cmd_validate(cfg: RunConfig, perturb: bool = False) -> int:
+def cmd_validate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     t0 = time.perf_counter()
-    if perturb:
-        orlicz._FIRST_FORM_PERTURBATION = 1.01
-    try:
-        checks = _validate_checks(cfg)
-    finally:
-        orlicz._FIRST_FORM_PERTURBATION = 1.0
+    checks = _validate_checks(cfg)
     for check in checks:
         check["passed"] = bool(check["observed"] <= check["tolerance"])
     all_pass = all(c["passed"] for c in checks)
     write_text(
         out / "validate.json",
-        dumps_json({"checks": checks, "all_passed": all_pass, "perturbed": perturb}),
+        dumps_json({"checks": checks, "all_passed": all_pass}),
     )
     write_manifest(cfg, out, {"validate": cfg.seed}, {"total_s": time.perf_counter() - t0})
     for check in checks:
@@ -616,11 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--rel-tol", dest="rel_tol", type=float, help="quadrature relative tolerance")
         if name == "validate":
             sp.add_argument("--grid", dest="grid", help="validation grid 'p1 p2 ...; n1 n2 ...' ('' = error)")
-            sp.add_argument(
-                "--perturb-closed-form",
-                action="store_true",
-                help="testing hook: scale one closed-form term by 1.01 (must fail)",
-            )
     return parser
 
 
@@ -641,7 +630,7 @@ def main(argv=None) -> int:
         if args.command == "directions":
             return cmd_directions(cfg)
         if args.command == "validate":
-            return cmd_validate(cfg, perturb=bool(getattr(args, "perturb_closed_form", False)))
+            return cmd_validate(cfg)
         if args.command == "tabulate-m":
             return cmd_tabulate_m(cfg)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -29,16 +29,14 @@ from .bodies import (
     coordinate_marginal,
     derive_seed,
     isotropic_constant,
-    marginal_general,
     project_uniform,
     sample_norms,
     sample_sphere,
     sample_uniform,
 )
 from .errors import DomainError, HypothesisError, RangeError
-from .mathkit import DEFAULT_QUAD, QuadratureSpec, quad_cumulative
+from .mathkit import DEFAULT_QUAD, QuadratureSpec, bisect, quad_cumulative
 from .orlicz import (
-    MTailSpec,
     OrliczFunction,
     from_cube,
     from_empirical,
@@ -196,7 +194,7 @@ def build_direction_orlicz(
     The cube marginal for p = inf on a canonical axis; the stop-loss
     integral of the exact coordinate marginal on other canonical axes and,
     by rotational invariance, for p = 2 in every direction.  Other
-    directions go through an empirical projection histogram.
+    directions use the empirical measure of proj_samples projections.
     """
     theta = _resolve_direction(body, direction)
     if not body.normalized:
@@ -205,12 +203,11 @@ def build_direction_orlicz(
         if math.isinf(body.p):
             return from_cube()
         return _coordinate_orlicz(body, quad)
-    marg = marginal_general(body, theta, proj_samples, derive_seed(seed, "marginal"))
-    return from_tail(MTailSpec(marg, quad))
+    return from_empirical(project_uniform(body, theta, proj_samples, derive_seed(seed, "marginal")))
 
 
 def _coordinate_orlicz(body: BodySpec, quad: QuadratureSpec) -> OrliczFunction:
-    return from_tail(MTailSpec(coordinate_marginal(body, quad), quad))
+    return from_tail(coordinate_marginal(body), quad)
 
 
 def expected_support_orlicz(
@@ -457,12 +454,7 @@ def solve_tilde_s(
         lo /= 2.0
         if lo < hi / 1e9:
             raise RangeError("1/N is outside the attainable range of the sphere average")
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if phi(mid) <= level:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect(lambda s: phi(s) <= level, lo, hi, rel_tol)
     return 0.5 * (lo + hi)
 
 
@@ -518,15 +510,7 @@ def general_upper_bound(
     target = h(0.0) * (1.0 - drop)
     if target >= h(0.0):
         return 0.0
-    lo, hi = 0.0, radius  # h(lo) > target >= h(hi)
-    for _ in range(200):
-        if hi - lo <= 1e-14 * radius:
-            break
-        mid = 0.5 * (lo + hi)
-        if h(mid) > target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda t: h(t) <= target, 0.0, radius, 1e-14)
     return 0.5 * (lo + hi)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "quad_cumulative",
     "sincos_recursion",
     "log1p_pow",
+    "bisect",
 ]
 
 _LOG2 = math.log(2.0)
@@ -263,6 +264,24 @@ def quad_cumulative(f: Callable, points: np.ndarray, chunk: int = 100_000) -> np
     out[0] = 0.0
     np.cumsum(segs, out=out[1:])
     return out
+
+
+# ---------------------------------------------------------------------------
+# monotone root bracketing
+
+def bisect(pred: Callable[[float], bool], lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
+    """Shrink a bracket of a monotone predicate: given pred(lo) false and
+    pred(hi) true, halve [lo, hi] keeping both, until hi - lo <= rel_tol * hi
+    (or lo and hi are adjacent floats).  Returns the final (lo, hi)."""
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ from .mathkit import (
     QuadratureSpec,
     ball_volume_log,
     ball_volume_ratio,
+    bisect,
     quad_adaptive,
 )
 
 __all__ = [
     "OrliczFunction",
-    "MTailSpec",
     "m_from_tail",
     "m_from_tail_alt",
     "m_pball_first",
@@ -54,10 +54,6 @@ __all__ = [
 # to extrapolate and raise RangeError instead.
 BRACKET_LIMIT = 1e6
 
-# Self-test hook for the validation CLI: scales the leading term of the
-# first closed-form representation.  Leave at 1.0.
-_FIRST_FORM_PERTURBATION = 1.0
-
 
 @dataclass(frozen=True)
 class OrliczFunction:
@@ -71,20 +67,10 @@ class OrliczFunction:
         return self.eval(t)
 
 
-@dataclass(frozen=True)
-class MTailSpec:
-    """A marginal law together with the quadrature budget used on it."""
-
-    marginal: MarginalDensity
-    quad: QuadratureSpec = DEFAULT_QUAD
-
-
 # ---------------------------------------------------------------------------
 # tail-integral representations
 
 def _tail_moment_fn(marg: MarginalDensity, quad: QuadratureSpec) -> Callable[[float], float]:
-    if marg.tail_moment is not None:
-        return marg.tail_moment
     radius = marg.support_radius
 
     def tail(a: float) -> float:
@@ -100,8 +86,6 @@ def _tail_moment_fn(marg: MarginalDensity, quad: QuadratureSpec) -> Callable[[fl
 
 
 def _survival_fn(marg: MarginalDensity, quad: QuadratureSpec) -> Callable[[float], float]:
-    if marg.survival is not None:
-        return marg.survival
     radius = marg.support_radius
 
     def survival(a: float) -> float:
@@ -116,38 +100,15 @@ def _survival_fn(marg: MarginalDensity, quad: QuadratureSpec) -> Callable[[float
     return survival
 
 
-def _m_histogram_exact(marg: MarginalDensity, s: float) -> float:
-    """M(s) for a piecewise-constant marginal, in closed form per bin.
-
-    With T(u) the truncated first moment, M(s) = int_{1/s}^{R} T(u)/u^2 du,
-    and on a bin with constant one-sided density g the antiderivative of
-    (A - g u^2 / 2)/u^2 is -A/u - g u / 2.
-    """
-    edges = marg.hist_edges
-    g = marg.hist_density
-    a = 1.0 / s
-    widths_sq = np.diff(edges**2)
-    suffix_moment = np.concatenate((np.cumsum((g * widths_sq / 2.0)[::-1])[::-1], [0.0]))
-    cap = g * edges[1:] ** 2 / 2.0 + suffix_moment[1:]
-    lo = np.maximum(edges[:-1], a)
-    hi = edges[1:]
-    live = hi > lo
-    lo, hi, cap_l, g_l = lo[live], hi[live], cap[live], g[live]
-    vals = (-cap_l / hi - g_l * hi / 2.0) - (-cap_l / lo - g_l * lo / 2.0)
-    return float(np.sum(vals))
-
-
-def m_from_tail(spec: MTailSpec, s: float) -> float:
+def m_from_tail(marginal: MarginalDensity, s: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Tail-integral M(s): outer integral of the truncated first moment."""
     if s < 0:
         raise DomainError("M is defined for s >= 0")
-    radius = spec.marginal.support_radius
+    radius = marginal.support_radius
     if s * radius <= 1.0:
         return 0.0
-    if spec.marginal.hist_edges is not None:
-        return _m_histogram_exact(spec.marginal, s)
-    quad = spec.quad.rel_only()
-    tail = _tail_moment_fn(spec.marginal, quad.tighter())
+    quad = quad.rel_only()
+    tail = _tail_moment_fn(marginal, quad.tighter())
 
     def outer(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -156,7 +117,7 @@ def m_from_tail(spec: MTailSpec, s: float) -> float:
     return quad_adaptive(outer, Interval(1.0 / radius, s), quad)
 
 
-def m_from_tail_alt(spec: MTailSpec, s: float) -> float:
+def m_from_tail_alt(marginal: MarginalDensity, s: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Same M(s) through the survival-function representation.
 
     The defining form integrates (1/t) P(|X| >= 1/t) + int_{1/t} P(|X| >= u) du
@@ -166,12 +127,11 @@ def m_from_tail_alt(spec: MTailSpec, s: float) -> float:
     """
     if s < 0:
         raise DomainError("M is defined for s >= 0")
-    marg = spec.marginal
-    radius = marg.support_radius
+    radius = marginal.support_radius
     if s * radius <= 1.0:
         return 0.0
-    quad = spec.quad.rel_only()
-    survival = _survival_fn(marg, quad.tighter())
+    quad = quad.rel_only()
+    survival = _survival_fn(marginal, quad.tighter())
 
     def hazard(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -181,18 +141,6 @@ def m_from_tail_alt(spec: MTailSpec, s: float) -> float:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         return np.array([survival(ui) * (s - 1.0 / ui) for ui in u])
 
-    if marg.hist_edges is not None:
-        # survival is piecewise linear: integrate each smooth piece separately
-        cuts_u = [1.0 / s] + [float(e) for e in marg.hist_edges if 1.0 / s < e < radius] + [radius]
-        term2 = sum(
-            quad_adaptive(excess, Interval(a, b), quad) for a, b in zip(cuts_u, cuts_u[1:])
-        )
-        inv = sorted(1.0 / e for e in marg.hist_edges if e > 0 and 1.0 / radius < 1.0 / e < s)
-        cuts_t = [1.0 / radius] + inv + [s]
-        term1 = sum(
-            quad_adaptive(hazard, Interval(a, b), quad) for a, b in zip(cuts_t, cuts_t[1:])
-        )
-        return term1 + term2
     term1 = quad_adaptive(hazard, Interval(1.0 / radius, s), quad)
     term2 = quad_adaptive(excess, Interval(1.0 / s, radius), quad)
     return term1 + term2
@@ -280,7 +228,6 @@ def m_pball_first(p: float, n: int, s: float, quad: QuadratureSpec = DEFAULT_QUA
     b1 = 3.0 - 2.0 / p
     lead = 4.0 / (p * (n - 1.0 + p))
     term_a = lead * ratio * _sin_cos_integral(a1, b1, theta_max, quad)
-    term_a *= _FIRST_FORM_PERTURBATION
     if p == 2.0:
         return term_a
     term_b = (
@@ -434,23 +381,15 @@ def from_pball(
     return OrliczFunction(eval=ev, zero_threshold=1.0 / radius, kind=kind)
 
 
-def from_tail(spec: MTailSpec) -> OrliczFunction:
-    """Tail-integral Orlicz function of an arbitrary marginal.
+def from_tail(marginal: MarginalDensity, quad: QuadratureSpec = DEFAULT_QUAD) -> OrliczFunction:
+    """Tail-integral Orlicz function of a density-backed marginal.
 
     By Fubini the defining double integral is the stop-loss expectation
-    M(t) = E (t|<X,theta>| - 1)_+ = int_{1/t}^R 2 f(r) (t r - 1) dr, which a
-    density-backed marginal evaluates with one quadrature.  Histogram
-    marginals keep the exact per-bin form of m_from_tail.
+    M(t) = E (t|<X,theta>| - 1)_+ = int_{1/t}^R 2 f(r) (t r - 1) dr, which
+    one quadrature evaluates.  Atoms go through from_empirical instead.
     """
-    marg = spec.marginal
-    radius = marg.support_radius
-    if marg.hist_edges is not None:
-        return OrliczFunction(
-            eval=lambda t: m_from_tail(spec, t),
-            zero_threshold=1.0 / radius,
-            kind="empirical",
-        )
-    quad = spec.quad.rel_only()
+    radius = marginal.support_radius
+    quad = quad.rel_only()
 
     def ev(t: float) -> float:
         if t < 0:
@@ -458,7 +397,7 @@ def from_tail(spec: MTailSpec) -> OrliczFunction:
         if t * radius <= 1.0:
             return 0.0
         return quad_adaptive(
-            lambda r: 2.0 * np.asarray(marg.density(r), dtype=float) * (t * r - 1.0),
+            lambda r: 2.0 * np.asarray(marginal.density(r), dtype=float) * (t * r - 1.0),
             Interval(1.0 / t, radius),
             quad,
         )
@@ -559,14 +498,7 @@ def luxemburg_norm(x: Sequence[float], M: OrliczFunction) -> float:
         raise RangeError("Luxemburg norm below the bracketing range")
     if budget(hi) > 1.0:
         raise RangeError("Luxemburg norm above the bracketing range")
-    # keep budget(lo) > 1 >= budget(hi)
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if budget(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect(lambda rho: budget(rho) <= 1.0, lo, hi, 1e-10)[1]
 
 
 def invert_for_support(M: OrliczFunction, N: int) -> float:
@@ -595,14 +527,7 @@ def invert_for_support(M: OrliczFunction, N: int) -> float:
         lo /= 2.0
         if lo < s_ref / BRACKET_LIMIT:
             raise RangeError("M(1/s) stays at or below 1/N within the bracketing range")
-    # invariant: phi(lo) > level >= phi(hi)
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        if phi(mid) <= level:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect(lambda s: phi(s) <= level, lo, hi, 1e-9)[1]
 
 
 # Fractions of the support radius used by the cross-representation checks.

@@ -33,7 +33,6 @@ from orlicz_polytope.estimators import (
 )
 from orlicz_polytope.mathkit import Interval, QuadratureSpec, SinCosParams, quad_adaptive, quad_cumulative, sincos_recursion
 from orlicz_polytope.orlicz import (
-    MTailSpec,
     build_consistency_grid,
     from_cube,
     invert_for_support,
@@ -105,12 +104,12 @@ def test_criterion_2_representation_consistency():
     for p, n, frac in build_consistency_grid([1.0, 1.5, 2.0, 3.0, 6.0], [2, 10, 50], 10):
         body = BodySpec(p, n)
         s = frac * normalization_scale(body)
-        spec = MTailSpec(coordinate_marginal(body))
+        marg = coordinate_marginal(body)
         vals = [
             m_pball_first(p, n, s),
             m_pball_second(p, n, s),
-            m_from_tail(spec, 1.0 / s),
-            m_from_tail_alt(spec, 1.0 / s),
+            m_from_tail(marg, 1.0 / s),
+            m_from_tail_alt(marg, 1.0 / s),
         ]
         rel = (max(vals) - min(vals)) / max(vals)
         if rel > worst:

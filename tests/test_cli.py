@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from orlicz_polytope import cli
 from orlicz_polytope.cli import (
     ConfigError,
     dumps_json,
@@ -80,6 +81,10 @@ class TestEstimateCommand:
 
     def test_bad_direction_exit_2(self, tmp_path):
         assert run(tmp_path, "estimate", "--p", "2", "--n", "4", "--N", "10", "--dir", "e9") == 2
+
+    def test_random_direction_takes_no_argument(self, tmp_path):
+        # the direction is drawn from --seed; a suffix would be silently ignored
+        assert run(tmp_path, "estimate", "--p", "2", "--n", "4", "--N", "10", "--dir", "random:7") == 2
 
     def test_replay_byte_identical(self, tmp_path):
         # wall times go to timings.json, so the report and manifest repeat exactly
@@ -173,8 +178,10 @@ class TestValidateCommand:
             "sampler-ks",
         }
 
-    def test_perturbation_hook_fails(self, tmp_path):
-        assert run(tmp_path, "validate", "--grid", "1 2; 2 5", "--perturb-closed-form") == 1
+    def test_perturbation_hook_fails(self, tmp_path, monkeypatch):
+        first = cli.m_pball_first
+        monkeypatch.setattr(cli, "m_pball_first", lambda *args: 1.01 * first(*args))
+        assert run(tmp_path, "validate", "--grid", "1 2; 2 5") == 1
         report = read_json(tmp_path, "validate.json")
         failed = [c for c in report["checks"] if not c["passed"]]
         assert any(c["name"] == "closed-form-consistency" for c in failed)

@@ -10,6 +10,7 @@ from orlicz_polytope.bodies import (
     coordinate_marginal,
     derive_seed,
     normalization_scale,
+    project_uniform,
     sample_sphere,
     support_function,
 )
@@ -31,7 +32,7 @@ from orlicz_polytope.estimators import (
     _mean_width_trial,
     _spherical_values,
 )
-from orlicz_polytope.orlicz import m_pball_first, m_spherical
+from orlicz_polytope.orlicz import from_empirical, m_pball_first, m_spherical
 
 INF = math.inf
 
@@ -71,8 +72,18 @@ class TestExpectedSupportOrlicz:
         t = 2.0 * M.zero_threshold
         assert M.eval(t) == build_direction_orlicz(body, 0).eval(t)
 
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_noncanonical_direction_uses_raw_projections(self, p):
+        body = BodySpec(p, 30)
+        theta = Direction.from_vector(np.arange(1.0, 31.0))
+        M = build_direction_orlicz(body, theta, proj_samples=10**5, seed=7)
+        assert M.kind == "empirical"
+        want = from_empirical(project_uniform(body, theta, 10**5, derive_seed(7, "marginal")))
+        for t in np.linspace(0.5, 20.0, 41) * want.zero_threshold:
+            assert M.eval(float(t)) == want.eval(float(t))
+
     def test_empirical_direction_path(self):
-        # non-canonical direction on the cube goes through the histogram route
+        # non-canonical direction on the cube goes through the projections
         body = BodySpec(INF, 4)
         theta = Direction.from_vector(np.ones(4))
         got = expected_support_orlicz(body, theta, 100, proj_samples=10**5, seed=8)

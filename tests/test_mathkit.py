@@ -12,6 +12,7 @@ from orlicz_polytope.mathkit import (
     ball_volume,
     ball_volume_log,
     ball_volume_ratio,
+    bisect,
     log1p_pow,
     log_gamma,
     quad_adaptive,
@@ -146,6 +147,27 @@ class TestQuadAdaptive:
         assert cums[-1] == pytest.approx(math.sin(2.0), rel=1e-12)
         mid = cums[200]
         assert mid == pytest.approx(math.sin(pts[200]), rel=1e-10)
+
+
+class TestBisect:
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-14])
+    def test_invariant_and_width(self, rel_tol):
+        root = math.sqrt(2.0)
+        lo, hi = bisect(lambda x: x * x >= 2.0, 0.0, 10.0, rel_tol)
+        assert lo < root <= hi
+        assert lo * lo < 2.0 <= hi * hi
+        assert hi - lo <= rel_tol * hi
+
+    def test_exact_root(self):
+        # a dyadic root is hit exactly and then kept as the upper end
+        lo, hi = bisect(lambda x: x >= 0.75, 0.0, 1.0, 1e-12)
+        assert hi == 0.75
+        assert 0.75 - lo <= 1e-12 * 0.75
+
+    def test_stops_at_adjacent_floats(self):
+        lo, hi = bisect(lambda x: x >= 1.0 / 3.0, 0.0, 1.0, 0.0)
+        assert hi == np.nextafter(lo, 1.0)
+        assert lo < 1.0 / 3.0 <= hi
 
 
 class TestSinCosRecursion:

@@ -9,7 +9,6 @@ from orlicz_polytope.bodies import (
     Direction,
     coordinate_marginal,
     derive_seed,
-    marginal_general,
     normalization_scale,
     project_uniform,
     sample_sphere,
@@ -17,7 +16,6 @@ from orlicz_polytope.bodies import (
 from orlicz_polytope.errors import DomainError, RangeError
 from orlicz_polytope.mathkit import Interval, QuadratureSpec, quad_adaptive
 from orlicz_polytope.orlicz import (
-    MTailSpec,
     OrliczFunction,
     build_consistency_grid,
     from_cube,
@@ -46,23 +44,23 @@ def cube_inversion_formula(N):
     return (1.0 + 1.0 / N - math.sqrt(2.0 / N + 1.0 / N**2)) / 2.0
 
 
-def uniform_spec():
-    return MTailSpec(coordinate_marginal(BodySpec(INF, 1)))
+def uniform_marginal():
+    return coordinate_marginal(BodySpec(INF, 1))
 
 
 class TestTailIntegral:
     def test_zero_below_threshold(self):
-        spec = uniform_spec()
-        assert m_from_tail(spec, 0.0) == 0.0
-        assert m_from_tail(spec, 1.9) == 0.0
-        assert m_from_tail_alt(spec, 0.0) == 0.0
+        marg = uniform_marginal()
+        assert m_from_tail(marg, 0.0) == 0.0
+        assert m_from_tail(marg, 1.9) == 0.0
+        assert m_from_tail_alt(marg, 0.0) == 0.0
 
     def test_uniform_hand_value(self):
         # for the uniform law on [-1/2, 1/2]: M(s) = s/4 + 1/s - 1 past s = 2,
         # so M(4) = 1/4 (the tail moment integrates both tails)
-        spec = uniform_spec()
-        assert m_from_tail(spec, 4.0) == pytest.approx(0.25, abs=1e-10)
-        assert m_from_tail_alt(spec, 4.0) == pytest.approx(0.25, abs=1e-8)
+        marg = uniform_marginal()
+        assert m_from_tail(marg, 4.0) == pytest.approx(0.25, abs=1e-10)
+        assert m_from_tail_alt(marg, 4.0) == pytest.approx(0.25, abs=1e-8)
 
     def test_alt_matches_primary_on_random_bodies(self):
         rng = np.random.default_rng(99)
@@ -70,53 +68,11 @@ class TestTailIntegral:
             p = float(rng.uniform(1.0, 6.0))
             n = int(rng.integers(2, 20))
             body = BodySpec(p, n)
-            spec = MTailSpec(coordinate_marginal(body))
+            marg = coordinate_marginal(body)
             s = 1.0 / (float(rng.uniform(0.3, 0.95)) * normalization_scale(body))
-            a = m_from_tail(spec, s)
-            b = m_from_tail_alt(spec, s)
+            a = m_from_tail(marg, s)
+            b = m_from_tail_alt(marg, s)
             assert b == pytest.approx(a, rel=1e-8)
-
-    def test_histogram_marginal_exact_path(self):
-        # a two-bin histogram admits a hand computation
-        from orlicz_polytope.bodies import MarginalDensity
-        from orlicz_polytope.bodies import _histogram_hooks
-
-        edges = np.array([0.0, 1.0, 2.0])
-        g = np.array([0.25, 0.25])  # one-sided, integrates to 0.5... then renormalize
-        g = g / float(np.sum(g * np.diff(edges)))
-        survival, tail_moment = _histogram_hooks(edges, g)
-        marg = MarginalDensity(
-            density=lambda t: np.where(np.abs(t) <= 2.0, 0.25, 0.0),
-            support_radius=2.0,
-            kind="histogram",
-            tail_moment=tail_moment,
-            survival=survival,
-            hist_edges=edges,
-            hist_density=g,
-        )
-        spec = MTailSpec(marg)
-        # brute force the double integral with the generic quadrature path
-        generic = MarginalDensity(
-            density=lambda t: np.where(np.abs(np.asarray(t, float)) <= 2.0, 0.25, 0.0),
-            support_radius=2.0,
-            kind="closed-form",
-        )
-        for s in (0.7, 1.3, 4.0):
-            exact = m_from_tail(spec, s)
-            brute = m_from_tail(MTailSpec(generic), s)
-            assert exact == pytest.approx(brute, rel=1e-8, abs=1e-12)
-            assert from_tail(spec).eval(s) == exact
-
-    @pytest.mark.parametrize("p", [1.5, 4.0])
-    def test_histogram_from_tail_keeps_exact_path(self, p):
-        body = BodySpec(p, 30)
-        theta = Direction.from_vector(np.arange(1.0, 31.0))
-        spec = MTailSpec(marginal_general(body, theta, 10**5, derive_seed(7, "hist", int(p))))
-        M = from_tail(spec)
-        assert M.kind == "empirical"
-        radius = spec.marginal.support_radius
-        for t in np.linspace(0.5 / radius, 20.0 / radius, 41):
-            assert M.eval(float(t)) == m_from_tail(spec, float(t))
 
 
 class TestStopLoss:
@@ -128,19 +84,19 @@ class TestStopLoss:
     @pytest.mark.parametrize("n", [10, 30])
     def test_operating_range(self, p, n):
         body = BodySpec(p, n)
-        spec = MTailSpec(coordinate_marginal(body))
-        M = from_tail(spec)
+        marg = coordinate_marginal(body)
+        M = from_tail(marg)
         assert M.kind == "tail-integral"
         radius = normalization_scale(body)
         for frac in (0.1, 0.3, 0.6, 0.98):
             s = frac * radius
             got = M.eval(1.0 / s)
-            assert got == pytest.approx(m_from_tail(spec, 1.0 / s), rel=1e-8)
+            assert got == pytest.approx(m_from_tail(marg, 1.0 / s), rel=1e-8)
             assert got == pytest.approx(m_pball_first(p, n, s), rel=1e-8)
 
     def test_zero_at_and_below_threshold(self):
-        spec = MTailSpec(coordinate_marginal(BodySpec(3.0, 10)))
-        M = from_tail(spec)
+        marg = coordinate_marginal(BodySpec(3.0, 10))
+        M = from_tail(marg)
         assert M.eval(M.zero_threshold) == 0.0
         assert M.eval(0.5 * M.zero_threshold) == 0.0
         assert M.eval(0.0) == 0.0
@@ -164,17 +120,17 @@ class TestClosedForms:
     def test_disk_against_tail_integral(self):
         body = BodySpec(2.0, 2)
         radius = normalization_scale(body)
-        spec = MTailSpec(coordinate_marginal(body))
+        marg = coordinate_marginal(body)
         for frac in (0.2, 0.4, 0.55):
             s = frac * radius
-            want = m_from_tail(spec, 1.0 / s)
+            want = m_from_tail(marg, 1.0 / s)
             assert m_pball_first(2.0, 2, s) == pytest.approx(want, rel=1e-7)
             assert m_pball_second(2.0, 2, s) == pytest.approx(want, rel=1e-7)
 
     def test_p3_n6_against_tail_integral(self):
         body = BodySpec(3.0, 6)
         s = 0.5 * normalization_scale(body)
-        want = m_from_tail(MTailSpec(coordinate_marginal(body)), 1.0 / s)
+        want = m_from_tail(coordinate_marginal(body), 1.0 / s)
         assert m_pball_first(3.0, 6, s) == pytest.approx(want, rel=1e-7)
         assert m_pball_second(3.0, 6, s) == pytest.approx(want, rel=1e-7)
 
@@ -211,12 +167,12 @@ class TestClosedForms:
         for p, n, frac in build_consistency_grid([1.5, 3.0], [2, 10], 4):
             body = BodySpec(p, n)
             s = frac * normalization_scale(body)
-            spec = MTailSpec(coordinate_marginal(body))
+            marg = coordinate_marginal(body)
             vals = [
                 m_pball_first(p, n, s),
                 m_pball_second(p, n, s),
-                m_from_tail(spec, 1.0 / s),
-                m_from_tail_alt(spec, 1.0 / s),
+                m_from_tail(marg, 1.0 / s),
+                m_from_tail_alt(marg, 1.0 / s),
             ]
             assert (max(vals) - min(vals)) <= 1e-6 * max(vals)
 
@@ -275,10 +231,10 @@ class TestEmpirical:
 
     def test_convergence_to_tail_integral(self):
         body = BodySpec(2.0, 10)
-        spec = MTailSpec(coordinate_marginal(body))
+        marg = coordinate_marginal(body)
         radius = normalization_scale(body)
         ss = np.linspace(1.05 / radius, 4.0 / radius, 20)
-        want = np.array([m_from_tail(spec, float(s)) for s in ss])
+        want = np.array([m_from_tail(marg, float(s)) for s in ss])
 
         def sup_err(k, seed):
             proj = np.abs(project_uniform(body, Direction.canonical(10, 0), 10**k, seed))
