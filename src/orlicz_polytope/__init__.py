@@ -55,7 +55,6 @@ from .orlicz import (
     invert_for_support,
     legendre_dual,
     luxemburg_norm,
-    m_empirical,
     m_from_tail,
     m_from_tail_alt,
     m_pball_first,

@@ -23,6 +23,7 @@ from .mathkit import (
     QuadratureSpec,
     ball_volume_log,
     quad_adaptive,
+    quad_cumulative,
 )
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "sample_sphere",
     "sample_norms",
     "project_uniform",
+    "coordinate_ks",
     "circumradius",
     "contains",
     "isotropy_report",
@@ -321,18 +323,25 @@ def sample_uniform(body: BodySpec, count: int, seed: int) -> SampleBatch:
     return SampleBatch(points=pts, seed=seed, body=body)
 
 
+def _chunks(body: BodySpec, count: int, seed: int):
+    """The uniform points of sample_uniform(body, count, seed), chunk by
+    chunk in one reused buffer: yields (start, filled view)."""
+    buf = np.empty((_CHUNK, body.n))
+    for idx, start, size in _chunk_ranges(count):
+        view = buf[:size]
+        _fill_chunk(body, view, seed, idx)
+        yield start, view
+
+
 def project_uniform(body: BodySpec, theta: Direction, count: int, seed: int) -> np.ndarray:
     """<X_i, theta> for uniform X_i, computed chunkwise to bound memory."""
     if count < 1:
         raise DomainError("count must be positive")
     out = np.empty(count)
-    buf = np.empty((_CHUNK, body.n))
-    for idx, start, size in _chunk_ranges(count):
-        view = buf[:size]
-        _fill_chunk(body, view, seed, idx)
+    for start, view in _chunks(body, count, seed):
         # einsum, not BLAS: a BLAS product starts its own threads inside
         # every MC worker process, where they spin for no gain
-        out[start : start + size] = np.einsum("ij,j->i", view, theta.coords)
+        out[start : start + len(view)] = np.einsum("ij,j->i", view, theta.coords)
     return out
 
 
@@ -341,11 +350,8 @@ def sample_norms(body: BodySpec, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise DomainError("count must be positive")
     out = np.empty(count)
-    buf = np.empty((_CHUNK, body.n))
-    for idx, start, size in _chunk_ranges(count):
-        view = buf[:size]
-        _fill_chunk(body, view, seed, idx)
-        out[start : start + size] = np.linalg.norm(view, axis=1)
+    for start, view in _chunks(body, count, seed):
+        out[start : start + len(view)] = np.linalg.norm(view, axis=1)
     return out
 
 
@@ -363,6 +369,17 @@ def _fill_chunk(body: BodySpec, view: np.ndarray, seed: int, idx: int) -> None:
     signs = np.where(stream(seed, "sign", idx).random((size, n)) < 0.5, -1.0, 1.0)
     radial = (gam.sum(axis=1) + expo) ** (1.0 / p)
     view[:] = scale * signs * gam ** (1.0 / p) / radial[:, None]
+
+
+def coordinate_ks(body: BodySpec, m: int, seed: int) -> float:
+    """Kolmogorov-Smirnov distance between the e_1 coordinates of m uniform
+    points and the exact coordinate marginal CDF, a check of the sampler."""
+    proj = np.sort(project_uniform(body, Direction.canonical(body.n, 0), m, seed))
+    radius = normalization_scale(body)
+    pts = np.concatenate(([-radius], proj, [radius]))
+    cdf = quad_cumulative(lambda t: np.asarray(marginal_coordinate(body, t)), pts)[1:-1]
+    emp = np.arange(1, m + 1) / m
+    return float(np.max(np.maximum(np.abs(emp - cdf), np.abs(emp - 1.0 / m - cdf))))
 
 
 def sample_sphere(n: int, count: int, seed: int) -> np.ndarray:
@@ -401,10 +418,7 @@ def isotropy_report(body: BodySpec, samples: int, seed: int) -> IsotropyReport:
     n = body.n
     sum_x = np.zeros(n)
     sum_xx = np.zeros((n, n))
-    buf = np.empty((_CHUNK, n))
-    for idx, start, size in _chunk_ranges(samples):
-        view = buf[:size]
-        _fill_chunk(body, view, seed, idx)
+    for _, view in _chunks(body, samples, seed):
         sum_x += view.sum(axis=0)
         sum_xx += view.T @ view
     center = sum_x / samples

@@ -21,32 +21,24 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, orlicz
-from .bodies import (
-    BodySpec,
-    Direction,
-    coordinate_marginal,
-    derive_seed,
-    sample_sphere,
-)
+from .bodies import BodySpec, Direction, coordinate_ks, derive_seed, sample_sphere
 from .errors import AccuracyError, DomainError, HypothesisError, RangeError
 from .estimators import (
     PolytopeExperiment,
+    build_direction_orlicz,
     direction_measure_scan,
     expected_support_mc,
     expected_support_orlicz,
     run_mean_width_scan,
     run_support_scan,
 )
-from .mathkit import Interval, QuadratureSpec, SinCosParams, quad_adaptive, sincos_recursion
+from .mathkit import SinCosParams, sincos_identity_sides
 from .orlicz import (
     build_consistency_grid,
+    dual_involution_error,
     from_pball,
     from_power,
-    legendre_dual,
-    m_from_tail,
-    m_from_tail_alt,
-    m_pball_first,
-    m_pball_second,
+    representation_spread,
 )
 
 RNG_ALGORITHM = "philox4x64/blake2b-derived-streams"
@@ -104,9 +96,7 @@ class RunConfig:
     dirs: int = 100
     threads: int = 1
     out: str = "out"
-    alpha: float = 4.0
     r: float = 1.0
-    rel_tol: float = 1e-9
     grid: str = "default"
 
     def echo(self) -> dict:
@@ -121,9 +111,7 @@ class RunConfig:
             "dirs": self.dirs,
             "threads": self.threads,
             "out": self.out,
-            "alpha": self.alpha,
             "r": self.r,
-            "rel_tol": self.rel_tol,
             "grid": self.grid,
         }
 
@@ -200,9 +188,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         trials = int(pick("trials", 200))
         dirs = int(pick("dirs", 100))
         threads = int(pick("threads", 1))
-        alpha = float(pick("alpha", 4.0))
         r = float(pick("r", 1.0))
-        rel_tol = float(pick("rel_tol", 1e-9))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed numeric option: {exc}") from exc
     if n < 1:
@@ -211,8 +197,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("trials must be nonnegative")
     if threads < 1:
         raise ConfigError("threads must be at least 1")
-    if not rel_tol > 0:
-        raise ConfigError("rel-tol must be positive")
     p_raw = str(pick("p", "2"))
     n_raw = pick("N", None)
     grid = _parse_n_list(n_raw) if n_raw is not None else [100]
@@ -228,9 +212,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         dirs=dirs,
         threads=threads,
         out=str(pick("out", "out")),
-        alpha=alpha,
         r=r,
-        rel_tol=rel_tol,
         grid=str(pick("grid", "default")),
     )
 
@@ -469,8 +451,6 @@ def cmd_tabulate_m(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     body = BodySpec(cfg.p, cfg.n)
     direction = resolve_direction(cfg, body)
-    from .estimators import build_direction_orlicz
-
     fn = build_direction_orlicz(body, direction, seed=cfg.seed)
     orlicz.export_tabulation(fn, out / "m_table.csv")
     write_manifest(cfg, out, {"tabulate": cfg.seed}, {"total_s": time.perf_counter() - t0})
@@ -482,7 +462,6 @@ def cmd_tabulate_m(cfg: RunConfig) -> int:
 # validate
 
 def _validate_checks(cfg: RunConfig):
-    checks = []
     if cfg.grid.strip() == "":
         raise ConfigError("validation grid is empty")
     if cfg.grid == "default":
@@ -496,74 +475,42 @@ def _validate_checks(cfg: RunConfig):
             raise ConfigError(f"bad validation grid {cfg.grid!r}") from exc
         if not ps or not ns:
             raise ConfigError("validation grid is empty")
+        if any(math.isinf(p) for p in ps):
+            raise ConfigError("validation grid p must be finite: the closed forms it checks need p < inf")
 
     # representation consistency on the well-conditioned band of the support
-    worst = 0.0
-    for p, n, s_frac in build_consistency_grid(ps, ns, 3):
-        body = BodySpec(p, n)
-        from .bodies import normalization_scale
-
-        s = s_frac * normalization_scale(body)
-        marg = coordinate_marginal(body)
-        vals = [
-            m_pball_first(p, n, s),
-            m_pball_second(p, n, s),
-            m_from_tail(marg, 1.0 / s),
-            m_from_tail_alt(marg, 1.0 / s),
-        ]
-        hi, lo = max(vals), min(vals)
-        if hi > 0:
-            worst = max(worst, (hi - lo) / hi)
-    checks.append({"name": "closed-form-consistency", "tolerance": 1e-6, "observed": worst})
+    spread = max(representation_spread(p, n, f) for p, n, f in build_consistency_grid(ps, ns, 3))
 
     # recursion identity against quadrature
     rng = np.random.default_rng(123)
-    worst = 0.0
+    identity = 0.0
     for _ in range(20):
         a = float(rng.uniform(0.2, 12.0))
         b = float(rng.uniform(-0.8, 8.0))
         upper = float(rng.uniform(0.1, 1.5))
         k = int(rng.integers(0, 12))
-        terms, coeff = sincos_recursion(SinCosParams(a, b, upper, k))
-        lhs = quad_adaptive(
-            lambda t: np.sin(t) ** a * np.cos(t) ** b, Interval(0.0, upper),
-            QuadratureSpec(1e-12, 0.0, 60),
-        )
-        rem = quad_adaptive(
-            lambda t: np.sin(t) ** (a + 2 * k + 2) * np.cos(t) ** b, Interval(0.0, upper),
-            QuadratureSpec(1e-12, 0.0, 60),
-        )
-        worst = max(worst, abs(lhs - (sum(terms) + coeff * rem)) / max(abs(lhs), 1e-300))
-    checks.append({"name": "recursion-identity", "tolerance": 1e-9, "observed": worst})
+        lhs, rhs = sincos_identity_sides(SinCosParams(a, b, upper, k))
+        identity = max(identity, abs(lhs - rhs) / max(abs(lhs), 1e-300))
 
     # dual involution, on the region whose slopes stay inside the dual window
-    worst = 0.0
-    for M in (from_power(1.5), from_power(2.0), from_power(3.0), from_pball(2.0, 5)):
-        dd = legendre_dual(legendre_dual(M, 20.0), 20.0)
-        grid = np.linspace(0.05, 2.0, 8)
-        err = max(abs(dd.eval(float(t)) - M.eval(float(t))) for t in grid)
-        scale = max(M.eval(2.0), 1.0)
-        worst = max(worst, err / scale)
-    checks.append({"name": "dual-involution", "tolerance": 1e-6, "observed": worst})
+    involution = max(
+        dual_involution_error(M, np.linspace(0.05, 2.0, 8))
+        for M in (from_power(1.5), from_power(2.0), from_power(3.0), from_pball(2.0, 5))
+    )
 
     # sampler KS against the coordinate marginal CDF
-    from .mathkit import quad_cumulative
-    from .bodies import marginal_coordinate, normalization_scale, project_uniform
-
-    worst = 0.0
     m = 20000
-    for p in ps:
-        for n in ns:
-            body = BodySpec(p, n)
-            proj = np.sort(project_uniform(body, Direction.canonical(n, 0), m, derive_seed(cfg.seed, "ks", int(p * 10), n)))
-            radius = normalization_scale(body)
-            pts = np.concatenate(([-radius], proj, [radius]))
-            cdf = quad_cumulative(lambda t: np.asarray(marginal_coordinate(body, t)), pts)[1:-1]
-            emp = np.arange(1, m + 1) / m
-            ks = float(np.max(np.maximum(np.abs(emp - cdf), np.abs(emp - 1.0 / m - cdf))))
-            worst = max(worst, ks)
-    checks.append({"name": "sampler-ks", "tolerance": 2.0 * 1.63 / math.sqrt(m), "observed": worst})
-    return checks
+    ks = max(
+        coordinate_ks(BodySpec(p, n), m, derive_seed(cfg.seed, "ks", int(p * 10), n))
+        for p in ps
+        for n in ns
+    )
+    return [
+        {"name": "closed-form-consistency", "tolerance": 1e-6, "observed": spread},
+        {"name": "recursion-identity", "tolerance": 1e-9, "observed": identity},
+        {"name": "dual-involution", "tolerance": 1e-6, "observed": involution},
+        {"name": "sampler-ks", "tolerance": 2.0 * 1.63 / math.sqrt(m), "observed": ks},
+    ]
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -605,9 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", dest="seed", type=int, help=f"seed (default ${SEED_ENV} or 0)")
         sp.add_argument("--threads", dest="threads", type=int, help="parallel workers")
         sp.add_argument("--out", dest="out", help="output directory")
-        sp.add_argument("--alpha", dest="alpha", type=float, help="bound parameter")
         sp.add_argument("--r", dest="r", type=float, help="direction-measure level")
-        sp.add_argument("--rel-tol", dest="rel_tol", type=float, help="quadrature relative tolerance")
         if name == "validate":
             sp.add_argument("--grid", dest="grid", help="validation grid 'p1 p2 ...; n1 n2 ...' ('' = error)")
     return parser

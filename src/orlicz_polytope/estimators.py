@@ -35,7 +35,7 @@ from .bodies import (
     sample_uniform,
 )
 from .errors import DomainError, HypothesisError, RangeError
-from .mathkit import DEFAULT_QUAD, QuadratureSpec, bisect, quad_cumulative
+from .mathkit import bisect, quad_cumulative
 from .orlicz import (
     OrliczFunction,
     from_cube,
@@ -93,10 +93,6 @@ class PolytopeExperiment:
         if self.N < self.body.n:
             warnings.warn("N below the dimension: the polytope is degenerate", stacklevel=2)
 
-    @property
-    def mc_samples_per_trial(self) -> int:
-        return self.N
-
     def resolved_direction(self) -> Direction:
         return _resolve_direction(self.body, self.direction)
 
@@ -120,15 +116,6 @@ class EstimateReport:
     mc_ci95: tuple[float, float]
     ratio: Optional[float]
     meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "orlicz_value": self.orlicz_value,
-            "mc_mean": self.mc_mean,
-            "mc_ci95": list(self.mc_ci95),
-            "ratio": self.ratio,
-            "meta": dict(self.meta),
-        }
 
 
 @dataclass(frozen=True)
@@ -187,7 +174,6 @@ def build_direction_orlicz(
     direction=0,
     proj_samples: int = DEFAULT_PROJ_SAMPLES,
     seed: int = 0,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> OrliczFunction:
     """Orlicz function of <X, theta> for X uniform in the body.
 
@@ -202,12 +188,8 @@ def build_direction_orlicz(
     if body.p == 2.0 or _is_canonical(theta):
         if math.isinf(body.p):
             return from_cube()
-        return _coordinate_orlicz(body, quad)
+        return from_tail(coordinate_marginal(body))
     return from_empirical(project_uniform(body, theta, proj_samples, derive_seed(seed, "marginal")))
-
-
-def _coordinate_orlicz(body: BodySpec, quad: QuadratureSpec) -> OrliczFunction:
-    return from_tail(coordinate_marginal(body), quad)
 
 
 def expected_support_orlicz(
@@ -216,10 +198,9 @@ def expected_support_orlicz(
     N: int,
     proj_samples: int = DEFAULT_PROJ_SAMPLES,
     seed: int = 0,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Support-function estimate: invert the direction's Orlicz function at 1/N."""
-    M = build_direction_orlicz(body, direction, proj_samples, seed, quad)
+    M = build_direction_orlicz(body, direction, proj_samples, seed)
     return invert_for_support(M, N)
 
 
@@ -229,18 +210,17 @@ def direction_support_profile(
     N: int,
     seed: int = 0,
     proj_samples: int = DEFAULT_PROJ_SAMPLES,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> np.ndarray:
     """Orlicz estimates for each direction row; one value reused for p = 2."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     if body.p == 2.0:
-        value = invert_for_support(_coordinate_orlicz(body, quad), N)
+        value = invert_for_support(from_tail(coordinate_marginal(body)), N)
         return np.full(dirs.shape[0], value)
     out = np.empty(dirs.shape[0])
     for i, row in enumerate(dirs):
         out[i] = expected_support_orlicz(
             body, Direction.from_vector(row), N,
-            proj_samples=proj_samples, seed=derive_seed(seed, "profile", i), quad=quad,
+            proj_samples=proj_samples, seed=derive_seed(seed, "profile", i),
         )
     return out
 
@@ -251,14 +231,13 @@ def mean_width_orlicz(
     n_dirs: int = 100,
     seed: int = 0,
     proj_samples: int = DEFAULT_PROJ_SAMPLES,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Sphere average of the Orlicz support estimate.
 
     For p = 2 the estimate is direction-free, so a single inversion is
     exact; otherwise n_dirs sampled directions are averaged.
     """
-    return mean_width_orlicz_report(body, N, n_dirs, seed, proj_samples, quad).value
+    return mean_width_orlicz_report(body, N, n_dirs, seed, proj_samples).value
 
 
 def mean_width_orlicz_report(
@@ -267,15 +246,14 @@ def mean_width_orlicz_report(
     n_dirs: int = 100,
     seed: int = 0,
     proj_samples: int = DEFAULT_PROJ_SAMPLES,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> MCValue:
     """Sphere average with the direction-sampling standard error attached."""
     if body.p == 2.0:
-        return MCValue(expected_support_orlicz(body, 0, N, quad=quad), 0.0, 1, seed)
+        return MCValue(expected_support_orlicz(body, 0, N), 0.0, 1, seed)
     if n_dirs < 100:
         raise DomainError("mean_width_orlicz needs n_dirs >= 100")
     dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "mw-dirs"))
-    values = direction_support_profile(body, dirs, N, seed, proj_samples, quad)
+    values = direction_support_profile(body, dirs, N, seed, proj_samples)
     return MCValue(
         value=float(values.mean()),
         stderr=float(values.std(ddof=1) / math.sqrt(n_dirs)),
@@ -335,7 +313,8 @@ def expected_support_mc(
     threads: int = 1,
     orlicz_value: Optional[float] = None,
 ) -> EstimateReport:
-    """Monte Carlo oracle for E max_i |<X_i, theta>| with a 95% CI."""
+    """Monte Carlo oracle for E max_i |<X_i, theta>| with a 95% CI; the
+    report's ratio is None unless an orlicz_value is passed."""
     theta = exp.resolved_direction()
     t0 = time.perf_counter()
     args = [
@@ -343,8 +322,6 @@ def expected_support_mc(
         for t in range(exp.mc_trials)
     ]
     values = _parallel_map(_support_trial, args, threads)
-    if orlicz_value is None:
-        orlicz_value = expected_support_orlicz(exp.body, theta, exp.N, seed=exp.seed)
     meta = {
         "seed": exp.seed,
         "trials": exp.mc_trials,
@@ -538,7 +515,7 @@ def direction_measure_scan(
         raise DomainError("r must be positive")
     dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "scan-dirs"))
     if body.p == 2.0:
-        value = invert_for_support(_coordinate_orlicz(body, DEFAULT_QUAD), N)
+        value = invert_for_support(from_tail(coordinate_marginal(body)), N)
         estimates = np.full(n_dirs, value)
     else:
         cloud = sample_uniform(body, proj_samples, derive_seed(seed, "scan-cloud")).points
@@ -614,7 +591,6 @@ def run_support_scan(
     trials: int = 200,
     seed: int = 0,
     threads: int = 1,
-    mc_max_N: Optional[int] = None,
     proj_samples: int = DEFAULT_PROJ_SAMPLES,
 ) -> ScanResult:
     """Support-function law scan over N; fits log(est) vs log(log N)."""
@@ -623,7 +599,7 @@ def run_support_scan(
     for N in N_grid:
         est = expected_support_orlicz(body, direction, int(N), proj_samples=proj_samples, seed=seed)
         estimates.append(est)
-        if trials > 0 and (mc_max_N is None or N <= mc_max_N):
+        if trials > 0:
             rep = expected_support_mc(
                 PolytopeExperiment(body, int(N), direction, trials, seed),
                 threads=threads,
@@ -643,7 +619,6 @@ def run_mean_width_scan(
     n_dirs: int = 100,
     seed: int = 0,
     threads: int = 1,
-    mc_max_N: Optional[int] = None,
     proj_samples: int = DEFAULT_PROJ_SAMPLES,
 ) -> ScanResult:
     """Mean-width law scan over N; fits est^2 vs log N."""
@@ -652,7 +627,7 @@ def run_mean_width_scan(
     for N in N_grid:
         est = mean_width_orlicz(body, int(N), max(n_dirs, 100), seed, proj_samples)
         estimates.append(est)
-        if trials > 0 and (mc_max_N is None or N <= mc_max_N):
+        if trials > 0:
             rep = mean_width_mc(body, int(N), trials, n_dirs, seed, threads, orlicz_value=est)
             oracles.append(rep.mc_mean)
         else:

@@ -30,6 +30,7 @@ __all__ = [
     "quad_adaptive",
     "quad_cumulative",
     "sincos_recursion",
+    "sincos_identity_sides",
     "log1p_pow",
     "bisect",
 ]
@@ -323,6 +324,19 @@ def sincos_recursion(params: SinCosParams) -> tuple[list[float], float]:
     for j in range(1, k + 2):
         coeff *= (a + b + 2.0 * j) / (a + 2.0 * j - 1.0)
     return terms, coeff
+
+
+def sincos_identity_sides(params: SinCosParams) -> tuple[float, float]:
+    """Both sides of the identity sincos_recursion reduces, for a cross-check:
+    (int_0^upper sin^a cos^b, sum_j T_j + coeff * int_0^upper sin^{a+2k+2} cos^b),
+    the two integrals by quadrature at relative tolerance 1e-12."""
+    a, b, k = params.alpha, params.beta, params.k
+    iv = Interval(0.0, params.upper)
+    spec = QuadratureSpec(1e-12, 0.0, 60)
+    terms, coeff = sincos_recursion(params)
+    lhs = quad_adaptive(lambda t: np.sin(t) ** a * np.cos(t) ** b, iv, spec)
+    rem = quad_adaptive(lambda t: np.sin(t) ** (a + 2 * k + 2) * np.cos(t) ** b, iv, spec)
+    return lhs, sum(terms) + coeff * rem
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bodies import MarginalDensity
+from .bodies import BodySpec, MarginalDensity, coordinate_marginal, normalization_scale
 from .errors import DomainError, EstimationError, RangeError
 from .mathkit import (
     DEFAULT_QUAD,
@@ -37,7 +37,6 @@ __all__ = [
     "m_pball_first",
     "m_pball_second",
     "m_spherical",
-    "m_empirical",
     "from_power",
     "from_cube",
     "from_pball",
@@ -45,8 +44,10 @@ __all__ = [
     "from_empirical",
     "from_spherical",
     "legendre_dual",
+    "dual_involution_error",
     "luxemburg_norm",
     "invert_for_support",
+    "representation_spread",
     "export_tabulation",
 ]
 
@@ -311,20 +312,6 @@ def spherical_prefactor(n: int) -> float:
     return 2.0 * math.exp(ball_volume_log(2.0, n - 1) - ball_volume_log(2.0, n)) / n
 
 
-def m_empirical(projections: Sequence[float], s) -> float | np.ndarray:
-    """Exact tail-integral M of the empirical measure of |projections|.
-
-    Piecewise closed form from suffix sums of the sorted values; the inner
-    integral against an atomic measure is a step-weighted sum and the outer
-    integral is exact on each step.
-    """
-    fn = from_empirical(projections)
-    ss = np.asarray(s, dtype=float)
-    if ss.ndim == 0:
-        return fn.eval(float(ss))
-    return np.array([fn.eval(float(v)) for v in ss])
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -480,6 +467,14 @@ def legendre_dual(M: OrliczFunction, grid_max: float) -> OrliczFunction:
     return OrliczFunction(eval=ev, zero_threshold=float(min(slopes)), kind=M.kind)
 
 
+def dual_involution_error(M: OrliczFunction, ts: Sequence[float]) -> float:
+    """max |M**(t) - M(t)| over ts, the double dual on [0, 20], scaled by
+    max(1, M(ts[-1])): a check of legendre_dual on slopes inside its window."""
+    dd = legendre_dual(legendre_dual(M, 20.0), 20.0)
+    err = max(abs(dd.eval(float(t)) - M.eval(float(t))) for t in ts)
+    return err / max(M.eval(float(ts[-1])), 1.0)
+
+
 def luxemburg_norm(x: Sequence[float], M: OrliczFunction) -> float:
     """inf{rho > 0 : sum_i M(|x_i| / rho) <= 1} by monotone bisection."""
     v = np.abs(np.asarray(x, dtype=float).ravel())
@@ -542,6 +537,24 @@ def build_consistency_grid(ps, ns, s_count: int = 10):
     lo, hi = CONSISTENCY_BAND
     fracs = np.linspace(lo, hi, s_count)
     return [(float(p), int(n), float(f)) for p in ps for n in ns for f in fracs]
+
+
+def representation_spread(p: float, n: int, s_frac: float) -> float:
+    """(max - min) / max of M(1/s), s = s_frac * R, over every representation
+    of the l_p coordinate Orlicz function: the two closed forms, the defining
+    double integral, its survival variant and the production stop-loss path."""
+    body = BodySpec(p, n)
+    s = s_frac * normalization_scale(body)
+    marg = coordinate_marginal(body)
+    vals = [
+        m_pball_first(p, n, s),
+        m_pball_second(p, n, s),
+        m_from_tail(marg, 1.0 / s),
+        m_from_tail_alt(marg, 1.0 / s),
+        from_tail(marg).eval(1.0 / s),
+    ]
+    hi, lo = max(vals), min(vals)
+    return (hi - lo) / hi if hi > 0 else 0.0
 
 
 def export_tabulation(

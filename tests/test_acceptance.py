@@ -13,14 +13,11 @@ import pytest
 
 from orlicz_polytope.bodies import (
     BodySpec,
-    Direction,
-    coordinate_marginal,
+    coordinate_ks,
     derive_seed,
     isotropic_constant,
     isotropy_report,
-    marginal_coordinate,
     normalization_scale,
-    project_uniform,
 )
 from orlicz_polytope.estimators import (
     PolytopeExperiment,
@@ -31,15 +28,13 @@ from orlicz_polytope.estimators import (
     solve_tilde_s,
     sphere_average_m,
 )
-from orlicz_polytope.mathkit import Interval, QuadratureSpec, SinCosParams, quad_adaptive, quad_cumulative, sincos_recursion
+from orlicz_polytope.mathkit import SinCosParams, sincos_identity_sides
 from orlicz_polytope.orlicz import (
     build_consistency_grid,
     from_cube,
     invert_for_support,
-    m_from_tail,
-    m_from_tail_alt,
     m_pball_first,
-    m_pball_second,
+    representation_spread,
 )
 
 INF = math.inf
@@ -102,22 +97,13 @@ def test_criterion_2_representation_consistency():
     worst = 0.0
     where = None
     for p, n, frac in build_consistency_grid([1.0, 1.5, 2.0, 3.0, 6.0], [2, 10, 50], 10):
-        body = BodySpec(p, n)
-        s = frac * normalization_scale(body)
-        marg = coordinate_marginal(body)
-        vals = [
-            m_pball_first(p, n, s),
-            m_pball_second(p, n, s),
-            m_from_tail(marg, 1.0 / s),
-            m_from_tail_alt(marg, 1.0 / s),
-        ]
-        rel = (max(vals) - min(vals)) / max(vals)
+        rel = representation_spread(p, n, frac)
         if rel > worst:
             worst, where = rel, (p, n, round(frac, 3))
     elapsed = time.perf_counter() - t0
     report(
         2,
-        "closed forms vs tail integrals",
+        "closed forms vs tail integrals and the stop-loss path",
         worst <= 1e-6 and elapsed < 120.0,
         f"max pairwise rel {worst:.2e} at {where} (tol 1e-6), {elapsed:.0f}s < 120s",
     )
@@ -126,19 +112,14 @@ def test_criterion_2_representation_consistency():
 def test_criterion_3_recursion_identity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(31415)
-    spec = QuadratureSpec(1e-12, 0.0, 60)
     worst = 0.0
     for _ in range(100):
         alpha = float(rng.uniform(0.05, 30.0))
         beta = float(rng.uniform(-0.9, 25.0))
         upper = float(rng.uniform(0.0, 1.55))
         k = int(rng.integers(0, 21))
-        terms, coeff = sincos_recursion(SinCosParams(alpha, beta, upper, k))
-        lhs = quad_adaptive(lambda t: np.sin(t) ** alpha * np.cos(t) ** beta, Interval(0.0, upper), spec)
-        rem = quad_adaptive(
-            lambda t: np.sin(t) ** (alpha + 2 * k + 2) * np.cos(t) ** beta, Interval(0.0, upper), spec
-        )
-        worst = max(worst, abs(lhs - (sum(terms) + coeff * rem)) / max(1.0, abs(lhs)))
+        lhs, rhs = sincos_identity_sides(SinCosParams(alpha, beta, upper, k))
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     elapsed = time.perf_counter() - t0
     report(
         3,
@@ -264,13 +245,7 @@ def test_criterion_10_sampler_correctness():
     worst_ks = 0.0
     for p in (1.0, 1.5, 2.0, 3.0, 6.0):
         for n in (2, 10, 50):
-            body = BodySpec(p, n)
-            proj = np.sort(project_uniform(body, Direction.canonical(n, 0), m, derive_seed(SEED, "c10", int(p * 10), n)))
-            radius = normalization_scale(body)
-            pts = np.concatenate(([-radius], proj, [radius]))
-            cdf = quad_cumulative(lambda t: np.asarray(marginal_coordinate(body, t)), pts)[1:-1]
-            emp_hi = np.arange(1, m + 1) / m
-            ks = float(np.max(np.maximum(np.abs(emp_hi - cdf), np.abs(emp_hi - 1.0 / m - cdf))))
+            ks = coordinate_ks(BodySpec(p, n), m, derive_seed(SEED, "c10", int(p * 10), n))
             worst_ks = max(worst_ks, ks)
         band = 2.0 * 1.63 / math.sqrt(m)
     rep = isotropy_report(BodySpec(INF, 8), 10**6, derive_seed(SEED, "c10-iso"))

@@ -9,6 +9,7 @@ from orlicz_polytope.bodies import (
     Direction,
     circumradius,
     contains,
+    coordinate_ks,
     derive_seed,
     isotropic_constant,
     isotropy_report,
@@ -23,16 +24,9 @@ from orlicz_polytope.bodies import (
     support_function,
 )
 from orlicz_polytope.errors import DomainError
-from orlicz_polytope.mathkit import Interval, QuadratureSpec, quad_adaptive, quad_cumulative
+from orlicz_polytope.mathkit import Interval, QuadratureSpec, quad_adaptive
 
 INF = math.inf
-
-
-def ks_distance(sorted_samples, cdf_values):
-    m = sorted_samples.size
-    emp_hi = np.arange(1, m + 1) / m
-    emp_lo = emp_hi - 1.0 / m
-    return float(np.max(np.maximum(np.abs(emp_hi - cdf_values), np.abs(emp_lo - cdf_values))))
 
 
 class TestBodySpec:
@@ -236,13 +230,8 @@ class TestKolmogorovSmirnov:
     @pytest.mark.parametrize("n", [2, 10, 50, 200])
     def test_coordinate_marginal_ks(self, p, n):
         m = 20000
-        body = BodySpec(p, n)
         key = int(p * 10) if not math.isinf(p) else -1
-        proj = np.sort(project_uniform(body, Direction.canonical(n, 0), m, derive_seed(17, "ks", key, n)))
-        radius = normalization_scale(body)
-        pts = np.concatenate(([-radius], proj, [radius]))
-        cdf = quad_cumulative(lambda t: np.asarray(marginal_coordinate(body, t)), pts)[1:-1]
-        assert ks_distance(proj, cdf) <= 2.0 * 1.63 / math.sqrt(m)
+        assert coordinate_ks(BodySpec(p, n), m, derive_seed(17, "ks", key, n)) <= 2.0 * 1.63 / math.sqrt(m)
 
 
 class TestIsotropy:

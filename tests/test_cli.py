@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from orlicz_polytope import cli
+from orlicz_polytope import orlicz
 from orlicz_polytope.cli import (
     ConfigError,
     dumps_json,
@@ -51,6 +51,23 @@ class TestConfigParsing:
         assert run(tmp_path, "estimate", "--p", "inf", "--n", "3", "--N", "2", "--trials", "0") == 0
         report = read_json(tmp_path, "report.json")
         assert report["seed"] == 77
+
+    @pytest.mark.parametrize("flag, value", [("--rel-tol", "1e-2"), ("--alpha", "99")])
+    def test_removed_options_exit_2(self, tmp_path, flag, value):
+        args = ["estimate", "--p", "inf", "--n", "3", "--N", "2", "--trials", "0"]
+        assert run(tmp_path, *args, flag, value) == 2
+
+    def test_manifest_with_removed_keys_replays(self, tmp_path):
+        args = ["estimate", "--p", "1.5", "--n", "10", "--N", "1000", "--trials", "0"]
+        assert run(tmp_path, *args) == 0
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        manifest = read_json(tmp_path, "manifest.json")
+        assert "alpha" not in manifest["config"] and "rel_tol" not in manifest["config"]
+        manifest["config"].update(alpha=4.0, rel_tol=1e-9)
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert run(tmp_path, "estimate", "--config", str(old)) == 0
+        assert (tmp_path / "out" / "report.json").read_bytes() == report
 
 
 class TestSerialization:
@@ -179,8 +196,8 @@ class TestValidateCommand:
         }
 
     def test_perturbation_hook_fails(self, tmp_path, monkeypatch):
-        first = cli.m_pball_first
-        monkeypatch.setattr(cli, "m_pball_first", lambda *args: 1.01 * first(*args))
+        first = orlicz.m_pball_first
+        monkeypatch.setattr(orlicz, "m_pball_first", lambda *args: 1.01 * first(*args))
         assert run(tmp_path, "validate", "--grid", "1 2; 2 5") == 1
         report = read_json(tmp_path, "validate.json")
         failed = [c for c in report["checks"] if not c["passed"]]
@@ -188,6 +205,12 @@ class TestValidateCommand:
 
     def test_empty_grid_exit_2(self, tmp_path):
         assert run(tmp_path, "validate", "--grid", "") == 2
+
+    def test_infinite_p_in_grid_exit_2(self, tmp_path, capsys):
+        # the closed forms the grid feeds are defined for finite p only
+        assert run(tmp_path, "validate", "--grid", "inf; 2") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "finite" in err
 
 
 class TestTabulateCommand:

@@ -17,6 +17,7 @@ from orlicz_polytope.mathkit import (
     log_gamma,
     quad_adaptive,
     quad_cumulative,
+    sincos_identity_sides,
     sincos_recursion,
 )
 
@@ -211,17 +212,7 @@ class TestSinCosRecursion:
         k=st.integers(0, 20),
     )
     def test_identity_property(self, alpha, beta, upper, k):
-        terms, coeff = sincos_recursion(SinCosParams(alpha, beta, upper, k))
-        spec = QuadratureSpec(1e-12, 0.0, 60)
-        lhs = quad_adaptive(
-            lambda t: np.sin(t) ** alpha * np.cos(t) ** beta, Interval(0.0, upper), spec
-        )
-        remainder = quad_adaptive(
-            lambda t: np.sin(t) ** (alpha + 2 * k + 2) * np.cos(t) ** beta,
-            Interval(0.0, upper),
-            spec,
-        )
-        rhs = sum(terms) + coeff * remainder
+        lhs, rhs = sincos_identity_sides(SinCosParams(alpha, beta, upper, k))
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
