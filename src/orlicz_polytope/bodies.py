@@ -415,6 +415,8 @@ def isotropy_report(body: BodySpec, samples: int, seed: int) -> IsotropyReport:
     """Sample estimates of the barycenter, covariance and isotropic constant."""
     if not body.normalized:
         raise DomainError("isotropy diagnostics assume the volume-1 body")
+    if samples < 1:
+        raise DomainError("samples must be positive")
     n = body.n
     sum_x = np.zeros(n)
     sum_xx = np.zeros((n, n))

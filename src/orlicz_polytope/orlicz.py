@@ -405,14 +405,13 @@ def from_empirical(projections: Sequence[float]) -> OrliczFunction:
         raise EstimationError("all projections vanish")
     thresholds = 1.0 / v  # ascending
     prefix = np.cumsum(v)  # prefix[k-1] = sum of k largest values
-    # integral of the step function up to each threshold
-    area = np.concatenate(([0.0], np.cumsum(prefix[:-1] * np.diff(thresholds))))
 
     def ev(t: float) -> float:
         if t <= thresholds[0]:
             return 0.0
+        # the k atoms at or above 1/t: M(t) = sum (t v_i - 1) / total
         k = int(np.searchsorted(thresholds, t, side="right"))
-        return float(area[k - 1] + prefix[k - 1] * (t - thresholds[k - 1])) / total
+        return float(t * prefix[k - 1] - k) / total
 
     return OrliczFunction(eval=ev, zero_threshold=float(thresholds[0]), kind="empirical")
 
@@ -439,25 +438,22 @@ def _convexity_check(M: OrliczFunction, grid_max: float, points: int = 33) -> No
 
 
 def legendre_dual(M: OrliczFunction, grid_max: float) -> OrliczFunction:
-    """M*(x) = sup_{t in [0, grid_max]} (x t - M(t)) by ternary search."""
+    """M*(x) = sup_{t in [0, grid_max]} (x t - M(t)).  The objective is concave,
+    so bisection finds its maximiser where the chord slope of M over h reaches
+    x; on u = t + grid_max the relative stop is an absolute width, even at t = 0."""
     if not grid_max > 0:
         raise DomainError("grid_max must be positive")
     _convexity_check(M, grid_max)
+    h = 1e-9 * grid_max
 
     def ev(x: float) -> float:
         if x < 0:
             raise DomainError("dual Orlicz functions are defined for x >= 0")
-        lo, hi = 0.0, grid_max
-        for _ in range(90):
-            if hi - lo <= 1e-13 * grid_max:
-                break
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if x * m1 - M.eval(m1) < x * m2 - M.eval(m2):
-                lo = m1
-            else:
-                hi = m2
-        t_star = 0.5 * (lo + hi)
+        lo, hi = bisect(  # over u = t + grid_max
+            lambda u: M.eval(u - grid_max + h) - M.eval(u - grid_max) >= x * h,
+            grid_max, 2.0 * grid_max, 1e-9,
+        )
+        t_star = 0.5 * (lo + hi) - grid_max
         best = max(x * t - M.eval(t) for t in (0.0, t_star, grid_max))
         return max(best, 0.0)
 

@@ -261,6 +261,11 @@ class TestIsotropy:
             normalization_scale(ball) / math.sqrt(32.0), rel=1e-9
         )
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_nonpositive_samples(self, samples):
+        with pytest.raises(DomainError):
+            isotropy_report(BodySpec(2.0, 3), samples, 1)
+
 
 class TestCircumradius:
     def test_values(self):

@@ -241,6 +241,22 @@ class TestLegendre:
         for M in (from_power(1.5), from_power(2.0), from_pball(2.0, 5)):
             assert dual_involution_error(M, np.linspace(0.05, 2.0, 9)) <= 1e-6
 
+    @pytest.mark.parametrize("M", [from_power(2.0), from_pball(2.0, 5)], ids=["power", "pball"])
+    @pytest.mark.parametrize("x", [0.0, 0.1, 0.3, 1.0, 1e3])
+    def test_dual_evaluation_cost(self, M, x):
+        # x = 0 puts the maximiser at 0 and x = 1e3 at grid_max; 0.1 is inside
+        # for both functions, 0.3 and 1 only for the power (M' <= 0.23 for pball)
+        calls = [0]
+
+        def counted(t):
+            calls[0] += 1
+            return M.eval(t)
+
+        dual = legendre_dual(OrliczFunction(counted, M.zero_threshold, M.kind), 20.0)
+        calls[0] = 0
+        dual.eval(x)
+        assert calls[0] <= 70
+
     def test_rejects_nonconvex(self):
         bumpy = OrliczFunction(eval=lambda t: math.sqrt(t), zero_threshold=0.0, kind="power")
         with pytest.raises(DomainError):
