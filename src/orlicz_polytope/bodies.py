@@ -43,7 +43,9 @@ __all__ = [
     "sample_sphere",
     "sample_norms",
     "project_uniform",
+    "sample_coordinate",
     "coordinate_ks",
+    "marginal_ks",
     "circumradius",
     "contains",
     "isotropy_report",
@@ -371,10 +373,47 @@ def _fill_chunk(body: BodySpec, view: np.ndarray, seed: int, idx: int) -> None:
     view[:] = scale * signs * gam ** (1.0 / p) / radial[:, None]
 
 
+def sample_coordinate(body: BodySpec, count: int, seed: int) -> np.ndarray:
+    """<X_i, e_1> for count uniform X_i, drawn from the exact one-dimensional
+    law without building the points.
+
+    By the representation _fill_chunk uses, the first coordinate is
+    scale * eps * (G_1 / (G_1 + G_2))^{1/p} with G_1 ~ Gamma(1/p),
+    G_2 ~ Gamma((n-1)/p + 1) and a random sign eps: three variates per point
+    instead of 2n + 1.  Every axis, either sign and, for p = 2, every unit
+    direction have this law.  Streams are derived per chunk as in
+    sample_uniform, so the first k values of a larger draw coincide with a
+    draw of k.
+    """
+    if count < 1:
+        raise DomainError("count must be positive")
+    p, n = body.p, body.n
+    scale = normalization_scale(body)
+    out = np.empty(count)
+    for idx, start, size in _chunk_ranges(count):
+        view = out[start : start + size]
+        if math.isinf(p):
+            view[:] = scale * (2.0 * stream(seed, "cube-coord", idx).random(size) - 1.0)
+            continue
+        g1 = stream(seed, "gamma-coord", idx).standard_gamma(1.0 / p, size)
+        g2 = stream(seed, "gamma-rest", idx).standard_gamma((n - 1) / p + 1.0, size)
+        signs = np.where(stream(seed, "sign-coord", idx).random(size) < 0.5, -1.0, 1.0)
+        view[:] = scale * signs * (g1 / (g1 + g2)) ** (1.0 / p)
+    return out
+
+
 def coordinate_ks(body: BodySpec, m: int, seed: int) -> float:
     """Kolmogorov-Smirnov distance between the e_1 coordinates of m uniform
-    points and the exact coordinate marginal CDF, a check of the sampler."""
-    proj = np.sort(project_uniform(body, Direction.canonical(body.n, 0), m, seed))
+    points and the exact coordinate marginal CDF, a check of the full-vector
+    sampler."""
+    return marginal_ks(body, project_uniform(body, Direction.canonical(body.n, 0), m, seed))
+
+
+def marginal_ks(body: BodySpec, sample: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance between a sample of a coordinate of
+    uniform points and the exact coordinate marginal CDF."""
+    proj = np.sort(sample)
+    m = proj.size
     radius = normalization_scale(body)
     pts = np.concatenate(([-radius], proj, [radius]))
     cdf = quad_cumulative(lambda t: np.asarray(marginal_coordinate(body, t)), pts)[1:-1]

@@ -30,6 +30,7 @@ from .bodies import (
     derive_seed,
     isotropic_constant,
     project_uniform,
+    sample_coordinate,
     sample_norms,
     sample_sphere,
     sample_uniform,
@@ -269,7 +270,12 @@ def _support_trial(args) -> float:
     p, n, normalized, N, coords, seed, trial = args
     body = BodySpec(p, n, normalized)
     theta = Direction(np.asarray(coords))
-    proj = project_uniform(body, theta, N, derive_seed(seed, "esup", trial))
+    trial_seed = derive_seed(seed, "esup", trial)
+    if body.p == 2.0 or _is_canonical(theta):
+        # <X, theta> has the law of the first coordinate: draw it directly
+        proj = sample_coordinate(body, N, trial_seed)
+    else:
+        proj = project_uniform(body, theta, N, trial_seed)
     return float(np.max(np.abs(proj)))
 
 
@@ -289,8 +295,10 @@ def _mean_width_trial(args) -> float:
 def _parallel_map(fn, items, threads: int) -> list:
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * threads))))
+    # the fork start method starts every worker at once: start no idle ones
+    workers = min(threads, len(items))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
 def _mc_report(values: Sequence[float], orlicz_value: Optional[float], meta: dict) -> EstimateReport:

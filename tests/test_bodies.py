@@ -15,8 +15,10 @@ from orlicz_polytope.bodies import (
     isotropy_report,
     marginal_coordinate,
     marginal_general,
+    marginal_ks,
     normalization_scale,
     project_uniform,
+    sample_coordinate,
     sample_norms,
     sample_sphere,
     sample_uniform,
@@ -198,6 +200,16 @@ class TestSamplers:
         proj = project_uniform(body, theta, 3000, 21)
         assert proj == pytest.approx(pts @ theta.coords, rel=1e-14)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, INF])
+    def test_coordinate_sampler_prefix_and_range(self, p):
+        body = BodySpec(p, 7)
+        small = sample_coordinate(body, 1500, 13)
+        large = sample_coordinate(body, 70000, 13)
+        assert np.array_equal(small, large[:1500])
+        assert float(np.max(np.abs(large))) <= normalization_scale(body)
+        with pytest.raises(DomainError):
+            sample_coordinate(body, 0, 13)
+
     def test_sphere_directions(self):
         dirs = sample_sphere(10, 10**6, 3)
         assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() <= 1e-12
@@ -232,6 +244,16 @@ class TestKolmogorovSmirnov:
         m = 20000
         key = int(p * 10) if not math.isinf(p) else -1
         assert coordinate_ks(BodySpec(p, n), m, derive_seed(17, "ks", key, n)) <= 2.0 * 1.63 / math.sqrt(m)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 6.0, INF])
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    def test_coordinate_sampler_ks(self, p, n):
+        # the marginal sampler against the same CDF, at criterion 10's band
+        m = 20000
+        key = int(p * 10) if not math.isinf(p) else -1
+        body = BodySpec(p, n)
+        sample = sample_coordinate(body, m, derive_seed(17, "ks-coord", key, n))
+        assert marginal_ks(body, sample) <= 2.0 * 1.63 / math.sqrt(m)
 
 
 class TestIsotropy:

@@ -11,9 +11,11 @@ from orlicz_polytope.bodies import (
     derive_seed,
     normalization_scale,
     project_uniform,
+    sample_coordinate,
     sample_sphere,
     support_function,
 )
+from orlicz_polytope import estimators
 from orlicz_polytope.errors import DomainError, HypothesisError
 from orlicz_polytope.estimators import (
     PolytopeExperiment,
@@ -31,6 +33,7 @@ from orlicz_polytope.estimators import (
     sphere_average_m,
     _mean_width_trial,
     _spherical_values,
+    _support_trial,
 )
 from orlicz_polytope.orlicz import from_empirical, m_pball_first, m_spherical
 
@@ -114,21 +117,68 @@ class TestExpectedSupportMC:
             assert rep.mc_mean <= support_function(body, Direction.canonical(5, 0)) + 1e-12
 
     def test_monotone_in_N_with_shared_seed(self):
-        from orlicz_polytope.estimators import _support_trial
-
-        body = BodySpec(2.0, 4)
-        theta = Direction.canonical(4, 0)
-        for trial in range(5):
-            small = _support_trial((2.0, 4, True, 100, theta.coords, 11, trial))
-            large = _support_trial((2.0, 4, True, 400, theta.coords, 11, trial))
-            assert large >= small
+        # the marginal sampler (p = 2) and the full-vector path (p = 1.5)
+        for p, vec in ((2.0, [1.0, 0.0, 0.0, 0.0]), (1.5, [1.0, 2.0, -1.0, 3.0])):
+            theta = Direction.from_vector(vec)
+            for trial in range(5):
+                small = _support_trial((p, 4, True, 100, theta.coords, 11, trial))
+                large = _support_trial((p, 4, True, 400, theta.coords, 11, trial))
+                assert large >= small
 
     def test_parallel_matches_serial(self):
-        exp = PolytopeExperiment(BodySpec(1.0, 3), 50, 0, mc_trials=12, seed=3)
-        a = expected_support_mc(exp, threads=1, orlicz_value=1.0)
-        b = expected_support_mc(exp, threads=3, orlicz_value=1.0)
-        assert a.mc_mean == b.mc_mean
-        assert a.mc_ci95 == b.mc_ci95
+        for p, direction in ((1.0, 0), (1.5, [1.0, 2.0, -1.0])):
+            exp = PolytopeExperiment(BodySpec(p, 3), 50, direction, mc_trials=12, seed=3)
+            a = expected_support_mc(exp, threads=1, orlicz_value=1.0)
+            b = expected_support_mc(exp, threads=3, orlicz_value=1.0)
+            assert a.mc_mean == b.mc_mean
+            assert a.mc_ci95 == b.mc_ci95
+
+    @pytest.mark.parametrize(
+        "p, direction, marginal",
+        [
+            (1.0, 2, True),  # canonical axis 2
+            (4.0, [-1.0, 0, 0, 0, 0, 0], True),  # -e_1
+            (INF, 5, True),
+            (2.0, [0.3, -1.2, 0.5, 2.0, 0.1, -0.7], True),  # any direction of the ball
+            (1.5, [0.3, -1.2, 0.5, 2.0, 0.1, -0.7], False),
+        ],
+    )
+    def test_oracle_routing(self, p, direction, marginal):
+        # the coordinate law is drawn directly; other directions project points
+        body = BodySpec(p, 6)
+        exp = PolytopeExperiment(body, 300, direction, mc_trials=4, seed=19)
+        theta = exp.resolved_direction()
+
+        def draw(seed):
+            if marginal:
+                return sample_coordinate(body, 300, seed)
+            return project_uniform(body, theta, 300, seed)
+
+        want = [float(np.max(np.abs(draw(derive_seed(19, "esup", t))))) for t in range(4)]
+        assert expected_support_mc(exp).mc_mean == float(np.mean(want))
+
+    @pytest.mark.parametrize("threads, workers", [(64, 10), (4, 4)])
+    def test_pool_capped_at_trial_count(self, monkeypatch, threads, workers):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        exp = PolytopeExperiment(BodySpec(1.0, 3), 50, 0, mc_trials=10, seed=3)
+        serial = expected_support_mc(exp, threads=1)
+        monkeypatch.setattr(estimators, "ProcessPoolExecutor", RecordingPool)
+        assert expected_support_mc(exp, threads=threads).mc_mean == serial.mc_mean
+        assert started == [workers]
 
     def test_warns_below_dimension(self):
         with pytest.warns(UserWarning):
