@@ -5,7 +5,6 @@ from .bodies import (
     BodySpec,
     Direction,
     MarginalDensity,
-    SampleBatch,
     coordinate_marginal,
     isotropic_constant,
     isotropy_report,
@@ -45,7 +44,6 @@ from .mathkit import (
     SinCosParams,
     ball_volume,
     ball_volume_ratio,
-    log1p_pow,
     log_gamma,
     quad_adaptive,
     sincos_recursion,

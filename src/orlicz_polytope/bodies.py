@@ -30,7 +30,6 @@ __all__ = [
     "BodySpec",
     "Direction",
     "MarginalDensity",
-    "SampleBatch",
     "IsotropyReport",
     "stream",
     "derive_seed",
@@ -190,8 +189,6 @@ class MarginalDensity:
     density: Callable[[np.ndarray], np.ndarray]
     support_radius: float
     body: Optional[BodySpec] = None
-    direction: Optional[np.ndarray] = None
-    kind: str = "closed-form"
     hist_edges: Optional[np.ndarray] = None
     hist_density: Optional[np.ndarray] = None
 
@@ -200,56 +197,37 @@ class MarginalDensity:
             raise DomainError("support_radius must be positive and finite")
 
 
-def marginal_coordinate(body: BodySpec, t) -> np.ndarray | float:
-    """Section volume |K ∩ {x_j = t}| of the normalized body, any axis j."""
+def coordinate_marginal(body: BodySpec) -> MarginalDensity:
+    """MarginalDensity for a canonical basis direction: the section volume
+    |K ∩ {x_j = t}| of the normalized body, any axis j."""
     if not body.normalized:
         raise DomainError("coordinate marginals are defined for normalized bodies")
     p, n = body.p, body.n
-    tt = np.asarray(t, dtype=float)
-    scalar = tt.ndim == 0
-    tt = np.atleast_1d(np.abs(tt))
     radius = normalization_scale(body)
-    if math.isinf(p):
-        out = np.where(tt <= radius, 1.0, 0.0)
-    elif n == 1:
-        out = np.where(tt <= radius, 1.0, 0.0)
-    else:
-        log_c = (
-            ball_volume_log(p, n - 1)
-            + ball_volume_log(p, n) / n
-            - ball_volume_log(p, n)
-        )
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            y = np.minimum((tt / radius) ** p, 1.0)
-            out = np.where(
-                tt <= radius,
-                np.exp(log_c + ((n - 1) / p) * np.log1p(-y)),
-                0.0,
-            )
-    return float(out[0]) if scalar else out
-
-
-def coordinate_marginal(body: BodySpec) -> MarginalDensity:
-    """MarginalDensity for a canonical basis direction of the body."""
-    radius = normalization_scale(body)
-    direction = np.zeros(body.n)
-    direction[0] = 1.0
-    if math.isinf(body.p) or body.n == 1:
+    if math.isinf(p) or n == 1:
         # uniform density 1 on [-radius, radius] (radius = 1/2 when normalized)
-        return MarginalDensity(
-            density=lambda t: np.where(np.abs(np.asarray(t, float)) <= radius, 1.0, 0.0),
-            support_radius=radius,
-            body=body,
-            direction=direction,
-            kind="uniform",
-        )
-    return MarginalDensity(
-        density=lambda t: marginal_coordinate(body, t),
-        support_radius=radius,
-        body=body,
-        direction=direction,
-        kind="closed-form",
-    )
+        def section(tt):
+            return np.where(tt <= radius, 1.0, 0.0)
+    else:
+        log_n = ball_volume_log(p, n)
+        log_c = ball_volume_log(p, n - 1) + log_n / n - log_n
+
+        def section(tt):
+            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+                y = np.minimum((tt / radius) ** p, 1.0)
+                return np.where(tt <= radius, np.exp(log_c + ((n - 1) / p) * np.log1p(-y)), 0.0)
+
+    def density(t):
+        tt = np.asarray(t, dtype=float)
+        out = section(np.atleast_1d(np.abs(tt)))
+        return float(out[0]) if tt.ndim == 0 else out
+
+    return MarginalDensity(density=density, support_radius=radius, body=body)
+
+
+def marginal_coordinate(body: BodySpec, t) -> np.ndarray | float:
+    """Section volume |K ∩ {x_j = t}| of the normalized body, any axis j."""
+    return coordinate_marginal(body).density(t)
 
 
 def marginal_general(
@@ -280,8 +258,6 @@ def marginal_general(
         density=density,
         support_radius=top,
         body=body,
-        direction=theta.coords.copy(),
-        kind="histogram",
         hist_edges=edges,
         hist_density=g,
     )
@@ -290,29 +266,15 @@ def marginal_general(
 # ---------------------------------------------------------------------------
 # samplers
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Immutable batch of uniform points from a body."""
-
-    points: np.ndarray
-    seed: int
-    body: BodySpec
-
-    def to_csv(self, path) -> None:
-        """One point per row, 17 significant digits, LF line endings."""
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            for row in self.points:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def _chunk_ranges(count: int):
     for idx in range(0, (count + _CHUNK - 1) // _CHUNK):
         start = idx * _CHUNK
         yield idx, start, min(_CHUNK, count - start)
 
 
-def sample_uniform(body: BodySpec, count: int, seed: int) -> SampleBatch:
-    """count i.i.d. uniform points in the body; deterministic given seed.
+def sample_uniform(body: BodySpec, count: int, seed: int) -> np.ndarray:
+    """count i.i.d. uniform points in the body, one row each; deterministic
+    given seed.
 
     Streams are derived per chunk, so the first k points of a larger draw
     coincide with a smaller draw from the same seed.
@@ -322,7 +284,7 @@ def sample_uniform(body: BodySpec, count: int, seed: int) -> SampleBatch:
     pts = np.empty((count, body.n))
     for idx, start, size in _chunk_ranges(count):
         _fill_chunk(body, pts[start : start + size], seed, idx)
-    return SampleBatch(points=pts, seed=seed, body=body)
+    return pts
 
 
 def _chunks(body: BodySpec, count: int, seed: int):
@@ -416,7 +378,7 @@ def marginal_ks(body: BodySpec, sample: np.ndarray) -> float:
     m = proj.size
     radius = normalization_scale(body)
     pts = np.concatenate(([-radius], proj, [radius]))
-    cdf = quad_cumulative(lambda t: np.asarray(marginal_coordinate(body, t)), pts)[1:-1]
+    cdf = quad_cumulative(coordinate_marginal(body).density, pts)[1:-1]
     emp = np.arange(1, m + 1) / m
     return float(np.max(np.maximum(np.abs(emp - cdf), np.abs(emp - 1.0 / m - cdf))))
 
@@ -480,8 +442,9 @@ def isotropic_constant(body: BodySpec, quad: QuadratureSpec = DEFAULT_QUAD) -> f
     if math.isinf(body.p):
         return 1.0 / math.sqrt(12.0)
     radius = normalization_scale(body)
+    density = coordinate_marginal(body).density
     second = quad_adaptive(
-        lambda t: 2.0 * t * t * marginal_coordinate(body, t),
+        lambda t: 2.0 * t * t * density(t),
         Interval(0.0, radius),
         quad,
     )

@@ -1,8 +1,10 @@
 """Batch experiment runner.
 
 Subcommands: estimate, scan, meanwidth, directions, validate, tabulate-m.
-Configuration comes from a flat key=value file plus command-line overrides;
-every run writes a manifest that reproduces its numeric outputs bit for bit.
+Each takes only the options it reads (COMMAND_OPTIONS); an unread flag is a
+usage error.  Configuration comes from a flat key=value file plus
+command-line overrides; every run writes a manifest that reproduces its
+numeric outputs bit for bit.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric error.
 """
@@ -85,12 +87,14 @@ def write_text(path: Path, text: str) -> None:
 
 @dataclass
 class RunConfig:
+    """The resolved options of one run; those its subcommand does not read
+    keep these defaults and stay out of the echo."""
+
     command: str
-    p: float = 2.0
-    p_raw: str = "2"
+    p: str = "2"
     n: int = 10
-    N_grid: list = field(default_factory=lambda: [100])
-    direction: str = "e1"
+    N: list = field(default_factory=lambda: [100])
+    dir: str = "e1"
     seed: int = 0
     trials: int = 200
     dirs: int = 100
@@ -100,20 +104,11 @@ class RunConfig:
     grid: str = "default"
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "p": self.p_raw,
-            "n": self.n,
-            "N": list(self.N_grid),
-            "dir": self.direction,
-            "seed": self.seed,
-            "trials": self.trials,
-            "dirs": self.dirs,
-            "threads": self.threads,
-            "out": self.out,
-            "r": self.r,
-            "grid": self.grid,
-        }
+        keys = COMMAND_OPTIONS[self.command]
+        return {"command": self.command, **{k: getattr(self, k) for k in keys}}
+
+    def body(self) -> BodySpec:
+        return BodySpec(parse_p(self.p), self.n)
 
 
 def parse_p(raw) -> float:
@@ -169,56 +164,76 @@ def _parse_n_list(value) -> list[int]:
     return items
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    base: dict = {}
-    if getattr(args, "config", None):
-        base = load_config_file(args.config)
-    def pick(key, default):
-        cli_value = getattr(args, key.replace("-", "_"), None)
-        if cli_value is not None:
-            return cli_value
-        if key in base:
-            return base[key]
-        return default
+def _p_text(raw) -> str:
+    text = str(raw)
+    parse_p(text)
+    return text
 
-    seed_default = os.environ.get(SEED_ENV, "0")
-    try:
-        seed = int(pick("seed", seed_default))
-        n = int(pick("n", 10))
-        trials = int(pick("trials", 200))
-        dirs = int(pick("dirs", 100))
-        threads = int(pick("threads", 1))
-        r = float(pick("r", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed numeric option: {exc}") from exc
-    if n < 1:
+
+# option -> (conversion of a flag or config-file value, argparse keywords)
+OPTIONS = {
+    "p": (_p_text, dict(help="ball exponent; 'inf' for the cube")),
+    "n": (int, dict(type=int, help="dimension")),
+    "N": (_parse_n_list, dict(action="append", type=int, help="vertex-pair count (repeat for a scan)")),
+    "dir": (str, dict(help="e<j>, random, or an explicit vector")),
+    "seed": (int, dict(type=int, help=f"seed (default ${SEED_ENV} or 0)")),
+    "trials": (int, dict(type=int, help="MC trials (0 disables MC)")),
+    "dirs": (int, dict(type=int, help="sphere directions")),
+    "threads": (int, dict(type=int, help="parallel workers")),
+    "out": (str, dict(help="output directory")),
+    "r": (float, dict(type=float, help="direction-measure level")),
+    "grid": (str, dict(help="validation grid 'p1 p2 ...; n1 n2 ...' ('' = error)")),
+}
+
+# The options each subcommand reads, in the order of the config echo.  Every
+# subcommand also takes --config; a config-file key outside its row is ignored.
+COMMAND_OPTIONS = {
+    "estimate": ("p", "n", "N", "dir", "seed", "trials", "threads", "out"),
+    "scan": ("p", "n", "N", "dir", "seed", "trials", "threads", "out"),
+    "meanwidth": ("p", "n", "N", "seed", "trials", "dirs", "threads", "out"),
+    "directions": ("p", "n", "N", "seed", "dirs", "out", "r"),
+    "validate": ("seed", "out", "grid"),
+    "tabulate-m": ("p", "n", "dir", "seed", "out"),
+}
+
+
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Flags over config-file keys over defaults, for the subcommand's
+    options only."""
+    command = args.command
+    base = load_config_file(args.config) if args.config else {}
+    defaults = vars(RunConfig(command)) | {"seed": os.environ.get(SEED_ENV, "0")}
+    if command == "directions":
+        defaults["dirs"] = 1000
+    values = {}
+    for key in COMMAND_OPTIONS[command]:
+        raw = getattr(args, key)
+        if raw is None:
+            raw = base.get(key, defaults[key])
+        try:
+            values[key] = OPTIONS[key][0](raw)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed option {key}: {exc}") from exc
+    cfg = RunConfig(command, **values)
+    if cfg.n < 1:
         raise ConfigError("n must be a positive integer")
-    if trials < 0:
+    if cfg.trials < 0:
         raise ConfigError("trials must be nonnegative")
-    if threads < 1:
+    if cfg.threads < 1:
         raise ConfigError("threads must be at least 1")
-    p_raw = str(pick("p", "2"))
-    n_raw = pick("N", None)
-    grid = _parse_n_list(n_raw) if n_raw is not None else [100]
-    return RunConfig(
-        command=args.command,
-        p=parse_p(p_raw),
-        p_raw=p_raw,
-        n=n,
-        N_grid=grid,
-        direction=str(pick("dir", "e1")),
-        seed=seed,
-        trials=trials,
-        dirs=dirs,
-        threads=threads,
-        out=str(pick("out", "out")),
-        r=r,
-        grid=str(pick("grid", "default")),
-    )
+    if command in ("estimate", "directions") and len(cfg.N) != 1:
+        raise ConfigError(f"{command} takes one N, got {len(cfg.N)}")
+    if command in ("scan", "meanwidth") and len(cfg.N) < 4:
+        raise ConfigError(f"{command} needs an N grid with at least 4 points")
+    if command == "directions" and cfg.dirs < 1000:
+        raise ConfigError(f"directions needs at least 1000 directions, got {cfg.dirs}")
+    return cfg
 
 
 def resolve_direction(cfg: RunConfig, body: BodySpec):
-    spec = cfg.direction.strip()
+    spec = cfg.dir.strip()
     if spec.startswith("e"):
         try:
             axis = int(spec[1:]) - 1
@@ -241,23 +256,17 @@ def resolve_direction(cfg: RunConfig, body: BodySpec):
 # ---------------------------------------------------------------------------
 # manifest
 
-def write_manifest(cfg: RunConfig, out_dir: Path, step_seeds: dict, timings: dict) -> None:
+def write_manifest(cfg: RunConfig, out_dir: Path, timings: dict) -> None:
     """manifest.json, a pure function of the config, and the wall times of
     the run in timings.json, kept apart so that replay is byte-identical."""
     manifest = {
         "config": cfg.echo(),
         "library_version": __version__,
         "rng_algorithm": RNG_ALGORITHM,
-        "per_step_seeds": step_seeds,
+        "per_step_seeds": {cfg.command: cfg.seed},
     }
     write_text(out_dir / "manifest.json", dumps_json(manifest))
     write_text(out_dir / "timings.json", dumps_json(timings))
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +313,13 @@ def render_svg(path: Path, xs, ys, title: str, x_label: str, y_label: str) -> No
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its outputs to out and returns the exit code;
+# main makes out, times the run and writes the manifest
 
-def cmd_estimate(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
-    body = BodySpec(cfg.p, cfg.n)
+def cmd_estimate(cfg: RunConfig, out: Path, timings: dict) -> int:
+    body = cfg.body()
     direction = resolve_direction(cfg, body)
-    N = cfg.N_grid[-1]
+    N = cfg.N[0]
     orlicz_value = expected_support_orlicz(body, direction, N, seed=cfg.seed)
     if cfg.trials > 0:
         rep = expected_support_mc(
@@ -320,9 +328,10 @@ def cmd_estimate(cfg: RunConfig) -> int:
             orlicz_value=orlicz_value,
         )
         mc_mean, ci, ratio = rep.mc_mean, list(rep.mc_ci95), rep.ratio
-        timing = rep.meta.get("elapsed_s")
+        timings["mc_s"] = rep.meta.get("elapsed_s")
     else:
-        mc_mean, ci, ratio, timing = None, None, None, None
+        mc_mean, ci, ratio = None, None, None
+        timings["mc_s"] = None
     report = {
         "experiment": cfg.echo(),
         "orlicz_value": orlicz_value,
@@ -337,9 +346,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
     row += [fmt(v) for v in ((mc_mean, *ci, ratio) if mc_mean is not None else ())] or ["", "", "", ""]
     lines.append(",".join(row))
     write_text(out / "report.csv", "\n".join(lines) + "\n")
-    write_manifest(
-        cfg, out, {"estimate": cfg.seed}, {"mc_s": timing, "total_s": time.perf_counter() - t0}
-    )
     if mc_mean is None:
         print(f"orlicz {fmt(orlicz_value)} (MC disabled)")
     else:
@@ -347,7 +353,21 @@ def cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
-def _scan_outputs(cfg: RunConfig, out: Path, result, transform_label: str) -> None:
+def cmd_scan(cfg: RunConfig, out: Path, timings: dict) -> int:
+    """scan (support function in one direction) and meanwidth: estimates
+    over the N grid and the fitted growth law."""
+    body = cfg.body()
+    if cfg.command == "scan":
+        result = run_support_scan(
+            body, resolve_direction(cfg, body), cfg.N,
+            trials=cfg.trials, seed=cfg.seed, threads=cfg.threads,
+        )
+        title = "support-function growth"
+    else:
+        result = run_mean_width_scan(
+            body, cfg.N, trials=cfg.trials, n_dirs=cfg.dirs, seed=cfg.seed, threads=cfg.threads
+        )
+        title = "mean-width growth"
     rows = result.rows
     lines = ["N,orlicz,mc,ratio"]
     for row in rows:
@@ -363,68 +383,28 @@ def _scan_outputs(cfg: RunConfig, out: Path, result, transform_label: str) -> No
     }
     write_text(out / "fit.json", dumps_json(fit))
     if result.transform == "log-log-N":
-        header = "log_log_N,log_estimate"
+        x_label, y_label = "log_log_N", "log_estimate"
         data = [(math.log(math.log(r.N)), math.log(r.estimate)) for r in rows]
     else:
-        header = "log_N,estimate_squared"
+        x_label, y_label = "log_N", "estimate_squared"
         data = [(math.log(r.N), r.estimate**2) for r in rows]
-    lines = [header] + [f"{fmt(x)},{fmt(y)}" for x, y in data]
+    lines = [f"{x_label},{y_label}"] + [f"{fmt(x)},{fmt(y)}" for x, y in data]
     write_text(out / "plotdata.csv", "\n".join(lines) + "\n")
-    render_svg(
-        out / "scan.svg",
-        [x for x, _ in data],
-        [y for _, y in data],
-        transform_label,
-        header.split(",")[0],
-        header.split(",")[1],
-    )
-
-
-def cmd_scan(cfg: RunConfig) -> int:
-    if len(cfg.N_grid) < 4:
-        raise ConfigError("scan needs an N grid with at least 4 points")
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
-    body = BodySpec(cfg.p, cfg.n)
-    direction = resolve_direction(cfg, body)
-    result = run_support_scan(
-        body, direction, cfg.N_grid, trials=cfg.trials, seed=cfg.seed, threads=cfg.threads
-    )
-    _scan_outputs(cfg, out, result, "support-function growth")
-    write_manifest(cfg, out, {"scan": cfg.seed}, {"total_s": time.perf_counter() - t0})
+    render_svg(out / "scan.svg", [x for x, _ in data], [y for _, y in data], title, x_label, y_label)
     print(f"exponent {fmt(result.fitted_exponent)} r2 {fmt(result.fit_r2)}")
     return 0
 
 
-def cmd_meanwidth(cfg: RunConfig) -> int:
-    if len(cfg.N_grid) < 4:
-        raise ConfigError("meanwidth needs an N grid with at least 4 points")
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
-    body = BodySpec(cfg.p, cfg.n)
-    result = run_mean_width_scan(
-        body, cfg.N_grid, trials=cfg.trials, n_dirs=cfg.dirs, seed=cfg.seed, threads=cfg.threads
-    )
-    _scan_outputs(cfg, out, result, "mean-width growth")
-    write_manifest(cfg, out, {"meanwidth": cfg.seed}, {"total_s": time.perf_counter() - t0})
-    print(f"exponent {fmt(result.fitted_exponent)} r2 {fmt(result.fit_r2)}")
-    return 0
-
-
-def cmd_directions(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
-    body = BodySpec(cfg.p, cfg.n)
-    N = cfg.N_grid[-1]
-    n_dirs = max(cfg.dirs, 1000)
-    scan = direction_measure_scan(body, N, cfg.r, n_dirs=n_dirs, seed=cfg.seed)
+def cmd_directions(cfg: RunConfig, out: Path, timings: dict) -> int:
+    N = cfg.N[0]
+    scan = direction_measure_scan(cfg.body(), N, cfg.r, n_dirs=cfg.dirs, seed=cfg.seed)
     lines = ["direction_index,estimate"]
     lines += [f"{i},{fmt(v)}" for i, v in enumerate(scan.estimates)]
     write_text(out / "directions.csv", "\n".join(lines) + "\n")
     summary = {
         "N": N,
         "r": cfg.r,
-        "n_dirs": n_dirs,
+        "n_dirs": cfg.dirs,
         "fraction_upper": scan.fraction_upper,
         "fraction_lower": scan.fraction_lower,
         "fraction_below_lower": scan.fraction_below_lower,
@@ -439,21 +419,16 @@ def cmd_directions(cfg: RunConfig) -> int:
         "calibration": "thresholds at 4x and 1/4x the median estimate",
     }
     write_text(out / "summary.json", dumps_json(summary))
-    write_manifest(cfg, out, {"directions": cfg.seed}, {"total_s": time.perf_counter() - t0})
     print(
         f"fraction_upper {fmt(scan.fraction_upper)} fraction_lower {fmt(scan.fraction_lower)}"
     )
     return 0
 
 
-def cmd_tabulate_m(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
-    body = BodySpec(cfg.p, cfg.n)
-    direction = resolve_direction(cfg, body)
-    fn = build_direction_orlicz(body, direction, seed=cfg.seed)
+def cmd_tabulate_m(cfg: RunConfig, out: Path, timings: dict) -> int:
+    body = cfg.body()
+    fn = build_direction_orlicz(body, resolve_direction(cfg, body), seed=cfg.seed)
     orlicz.export_tabulation(fn, out / "m_table.csv")
-    write_manifest(cfg, out, {"tabulate": cfg.seed}, {"total_s": time.perf_counter() - t0})
     print(f"tabulated {fn.kind} Orlicz function -> {out / 'm_table.csv'}")
     return 0
 
@@ -513,9 +488,7 @@ def _validate_checks(cfg: RunConfig):
     ]
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
+def cmd_validate(cfg: RunConfig, out: Path, timings: dict) -> int:
     checks = _validate_checks(cfg)
     for check in checks:
         check["passed"] = bool(check["observed"] <= check["tolerance"])
@@ -524,7 +497,6 @@ def cmd_validate(cfg: RunConfig) -> int:
         out / "validate.json",
         dumps_json({"checks": checks, "all_passed": all_pass}),
     )
-    write_manifest(cfg, out, {"validate": cfg.seed}, {"total_s": time.perf_counter() - t0})
     for check in checks:
         status = "pass" if check["passed"] else "FAIL"
         print(f"{status} {check['name']}: observed {check['observed']:.3e} tol {check['tolerance']:.3e}")
@@ -534,27 +506,28 @@ def cmd_validate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # parser / entry point
 
+COMMANDS = {
+    "estimate": cmd_estimate,
+    "scan": cmd_scan,
+    "meanwidth": cmd_scan,
+    "directions": cmd_directions,
+    "validate": cmd_validate,
+    "tabulate-m": cmd_tabulate_m,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orlicz-polytope",
         description="Random-polytope support functions and mean widths via Orlicz inversion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("estimate", "scan", "meanwidth", "directions", "validate", "tabulate-m"):
-        sp = sub.add_parser(name)
+    for name, keys in COMMAND_OPTIONS.items():
+        # no prefix matching: --dir must not pass as --dirs
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", help="flat key=value file or a manifest.json to replay")
-        sp.add_argument("--p", dest="p", help="ball exponent; 'inf' for the cube")
-        sp.add_argument("--n", dest="n", type=int, help="dimension")
-        sp.add_argument("--N", dest="N", action="append", type=int, help="vertex-pair count (repeatable)")
-        sp.add_argument("--dir", dest="dir", help="e<j>, random, or an explicit vector")
-        sp.add_argument("--trials", dest="trials", type=int, help="MC trials (0 disables MC)")
-        sp.add_argument("--dirs", dest="dirs", type=int, help="sphere directions")
-        sp.add_argument("--seed", dest="seed", type=int, help=f"seed (default ${SEED_ENV} or 0)")
-        sp.add_argument("--threads", dest="threads", type=int, help="parallel workers")
-        sp.add_argument("--out", dest="out", help="output directory")
-        sp.add_argument("--r", dest="r", type=float, help="direction-measure level")
-        if name == "validate":
-            sp.add_argument("--grid", dest="grid", help="validation grid 'p1 p2 ...; n1 n2 ...' ('' = error)")
+        for key in keys:
+            sp.add_argument(f"--{key}", dest=key, **OPTIONS[key][1])
     return parser
 
 
@@ -566,19 +539,14 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = resolve_config(args)
-        if args.command == "estimate":
-            return cmd_estimate(cfg)
-        if args.command == "scan":
-            return cmd_scan(cfg)
-        if args.command == "meanwidth":
-            return cmd_meanwidth(cfg)
-        if args.command == "directions":
-            return cmd_directions(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "tabulate-m":
-            return cmd_tabulate_m(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        out = Path(cfg.out)
+        out.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
+        timings: dict = {}
+        code = COMMANDS[cfg.command](cfg, out, timings)
+        timings["total_s"] = time.perf_counter() - t0
+        write_manifest(cfg, out, timings)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,6 @@ from .errors import DomainError, HypothesisError, RangeError
 from .mathkit import bisect, quad_cumulative
 from .orlicz import (
     OrliczFunction,
-    from_cube,
     from_empirical,
     from_tail,
     invert_for_support,
@@ -178,17 +177,14 @@ def build_direction_orlicz(
 ) -> OrliczFunction:
     """Orlicz function of <X, theta> for X uniform in the body.
 
-    The cube marginal for p = inf on a canonical axis; the stop-loss
-    integral of the exact coordinate marginal on other canonical axes and,
-    by rotational invariance, for p = 2 in every direction.  Other
-    directions use the empirical measure of proj_samples projections.
+    The stop-loss integral of the exact coordinate marginal on canonical
+    axes and, by rotational invariance, for p = 2 in every direction.
+    Other directions use the empirical measure of proj_samples projections.
     """
     theta = _resolve_direction(body, direction)
     if not body.normalized:
         raise DomainError("Orlicz constructions assume the volume-1 body")
     if body.p == 2.0 or _is_canonical(theta):
-        if math.isinf(body.p):
-            return from_cube()
         return from_tail(coordinate_marginal(body))
     return from_empirical(project_uniform(body, theta, proj_samples, derive_seed(seed, "marginal")))
 
@@ -282,7 +278,7 @@ def _support_trial(args) -> float:
 def _mean_width_trial(args) -> float:
     p, n, normalized, N, n_dirs, seed, trial = args
     body = BodySpec(p, n, normalized)
-    pts = sample_uniform(body, N, derive_seed(seed, "mw-pts", trial)).points
+    pts = sample_uniform(body, N, derive_seed(seed, "mw-pts", trial))
     dirs = sample_sphere(n, n_dirs, derive_seed(seed, "mw-dirs", trial))
     supports = np.zeros(n_dirs)
     step = max(1, (1 << 22) // max(n_dirs, 1))
@@ -526,7 +522,7 @@ def direction_measure_scan(
         value = invert_for_support(from_tail(coordinate_marginal(body)), N)
         estimates = np.full(n_dirs, value)
     else:
-        cloud = sample_uniform(body, proj_samples, derive_seed(seed, "scan-cloud")).points
+        cloud = sample_uniform(body, proj_samples, derive_seed(seed, "scan-cloud"))
         estimates = np.empty(n_dirs)
         for i, d in enumerate(dirs):
             estimates[i] = invert_for_support(from_empirical(cloud @ d), N)

@@ -31,7 +31,6 @@ __all__ = [
     "quad_cumulative",
     "sincos_recursion",
     "sincos_identity_sides",
-    "log1p_pow",
     "bisect",
 ]
 
@@ -337,17 +336,3 @@ def sincos_identity_sides(params: SinCosParams) -> tuple[float, float]:
     lhs = quad_adaptive(lambda t: np.sin(t) ** a * np.cos(t) ** b, iv, spec)
     rem = quad_adaptive(lambda t: np.sin(t) ** (a + 2 * k + 2) * np.cos(t) ** b, iv, spec)
     return lhs, sum(terms) + coeff * rem
-
-
-# ---------------------------------------------------------------------------
-# stable elementary pieces
-
-def log1p_pow(base_complement: float, exponent: float) -> float:
-    """exponent * ln(1 - base_complement), log1p-accurate; -inf at 1."""
-    if not 0.0 <= base_complement <= 1.0:
-        raise DomainError("base_complement must lie in [0, 1]")
-    if not exponent > 0:
-        raise DomainError("exponent must be positive")
-    if base_complement == 1.0:
-        return -math.inf
-    return exponent * math.log1p(-base_complement)

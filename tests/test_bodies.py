@@ -172,23 +172,23 @@ class TestSamplers:
     def test_membership_and_mean(self):
         for p in (1.0, 2.0, 3.5, INF):
             body = BodySpec(p, 6)
-            batch = sample_uniform(body, 20000, derive_seed(1, "mem", int(p * 2) if p != INF else -1))
-            assert bool(np.all(contains(body, batch.points)))
-            sd = batch.points.std(axis=0).max()
-            assert float(np.abs(batch.points.mean(axis=0)).max()) <= 4 * sd / math.sqrt(20000)
+            pts = sample_uniform(body, 20000, derive_seed(1, "mem", int(p * 2) if p != INF else -1))
+            assert bool(np.all(contains(body, pts)))
+            sd = pts.std(axis=0).max()
+            assert float(np.abs(pts.mean(axis=0)).max()) <= 4 * sd / math.sqrt(20000)
 
     def test_disk_radial_cdf(self):
         body = BodySpec(2.0, 2)
-        batch = sample_uniform(body, 10**5, 7)
+        pts = sample_uniform(body, 10**5, 7)
         r = 0.5
-        frac = float(np.mean(np.linalg.norm(batch.points, axis=1) <= r * normalization_scale(body)))
+        frac = float(np.mean(np.linalg.norm(pts, axis=1) <= r * normalization_scale(body)))
         band = 3 * math.sqrt(r**2 * (1 - r**2) / 10**5)
         assert abs(frac - r**2) <= band
 
     def test_prefix_stability(self):
         body = BodySpec(1.5, 4)
-        small = sample_uniform(body, 1500, 13).points
-        large = sample_uniform(body, 70000, 13).points
+        small = sample_uniform(body, 1500, 13)
+        large = sample_uniform(body, 70000, 13)
         assert np.array_equal(small, large[:1500])
         norms = sample_norms(body, 1500, 13)
         assert norms == pytest.approx(np.linalg.norm(small, axis=1), rel=1e-15)
@@ -196,7 +196,7 @@ class TestSamplers:
     def test_projection_consistency(self):
         body = BodySpec(2.0, 3)
         theta = Direction.from_vector([1.0, 2.0, -1.0])
-        pts = sample_uniform(body, 3000, 21).points
+        pts = sample_uniform(body, 3000, 21)
         proj = project_uniform(body, theta, 3000, 21)
         assert proj == pytest.approx(pts @ theta.coords, rel=1e-14)
 
@@ -223,18 +223,6 @@ class TestSamplers:
         c = stream(5, "x", 0).random(4)
         assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
-
-    def test_csv_export(self, tmp_path):
-        body = BodySpec(2.0, 3)
-        batch = sample_uniform(body, 5, 1)
-        path = tmp_path / "points.csv"
-        batch.to_csv(path)
-        raw = path.read_bytes()
-        assert b"\r" not in raw
-        rows = raw.decode().strip().split("\n")
-        assert len(rows) == 5
-        parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
-        assert np.array_equal(parsed, batch.points)  # 17 digits round-trips
 
 
 class TestKolmogorovSmirnov:
@@ -307,6 +295,6 @@ class TestCircumradius:
 )
 def test_sampler_membership_property(p, n, count, seed):
     body = BodySpec(p, n)
-    batch = sample_uniform(body, count, seed)
-    assert batch.points.shape == (count, n)
-    assert bool(np.all(contains(body, batch.points)))
+    pts = sample_uniform(body, count, seed)
+    assert pts.shape == (count, n)
+    assert bool(np.all(contains(body, pts)))

@@ -14,6 +14,29 @@ from orlicz_polytope.cli import (
 )
 
 
+# the options each subcommand reads, in the order of the config echo
+KEEPS = {
+    "estimate": ["p", "n", "N", "dir", "seed", "trials", "threads", "out"],
+    "scan": ["p", "n", "N", "dir", "seed", "trials", "threads", "out"],
+    "meanwidth": ["p", "n", "N", "seed", "trials", "dirs", "threads", "out"],
+    "directions": ["p", "n", "N", "seed", "dirs", "out", "r"],
+    "validate": ["seed", "out", "grid"],
+    "tabulate-m": ["p", "n", "dir", "seed", "out"],
+}
+SHARED = ["p", "n", "N", "dir", "trials", "dirs", "threads", "r"]
+DROPPED = [(c, f"--{k}") for c in KEEPS for k in SHARED if k not in KEEPS[c]]
+GRID4 = ["--N", "100", "--N", "1000", "--N", "10000", "--N", "100000"]
+# quick valid arguments for each subcommand
+ARGS = {
+    "estimate": ["estimate", "--p", "inf", "--n", "3", "--N", "2", "--trials", "0"],
+    "scan": ["scan", "--p", "1", "--n", "5", *GRID4, "--trials", "0"],
+    "meanwidth": ["meanwidth", "--p", "2", "--n", "5", *GRID4, "--trials", "0"],
+    "directions": ["directions", "--p", "2", "--n", "3", "--N", "50"],
+    "validate": ["validate", "--grid", "2; 2"],
+    "tabulate-m": ["tabulate-m", "--p", "3", "--n", "4"],
+}
+
+
 def run(tmp_path, *args):
     return main([*args, "--out", str(tmp_path / "out")])
 
@@ -56,6 +79,36 @@ class TestConfigParsing:
     def test_removed_options_exit_2(self, tmp_path, flag, value):
         args = ["estimate", "--p", "inf", "--n", "3", "--N", "2", "--trials", "0"]
         assert run(tmp_path, *args, flag, value) == 2
+
+    @pytest.mark.parametrize("command, flag", DROPPED, ids=[f"{c}{f}" for c, f in DROPPED])
+    def test_unread_options_exit_2(self, tmp_path, command, flag):
+        assert run(tmp_path, *ARGS[command], flag, "1") == 2
+
+    @pytest.mark.parametrize("command", ["estimate", "directions"])
+    def test_second_N_exit_2(self, tmp_path, command):
+        assert run(tmp_path, *ARGS[command], "--N", "100000") == 2
+
+    def test_directions_refuses_fewer_than_1000(self, tmp_path):
+        assert run(tmp_path, *ARGS["directions"], "--dirs", "999") == 2
+
+    @pytest.mark.parametrize("command", sorted(KEEPS))
+    def test_config_echo_lists_read_options(self, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("ORLICZ_POLYTOPE_SEED", raising=False)
+        assert run(tmp_path, *ARGS[command]) == 0
+        manifest = read_json(tmp_path, "manifest.json")
+        assert list(manifest["config"]) == ["command", *KEEPS[command]]
+        assert manifest["per_step_seeds"] == {command: 0}
+
+    def test_config_file_keys_outside_the_row_are_ignored(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = 3\nn = 2\nN = 100 1000\ntrials = 7\nthreads = 0\nr = x\n")
+        assert run(tmp_path, "validate", "--config", str(cfg), "--grid", "2; 2") == 0
+        assert read_json(tmp_path, "manifest.json")["config"]["grid"] == "2; 2"
+
+    def test_directions_defaults_to_1000(self, tmp_path):
+        assert run(tmp_path, *ARGS["directions"]) == 0
+        assert read_json(tmp_path, "summary.json")["n_dirs"] == 1000
+        assert read_json(tmp_path, "manifest.json")["config"]["dirs"] == 1000
 
     def test_manifest_with_removed_keys_replays(self, tmp_path):
         args = ["estimate", "--p", "1.5", "--n", "10", "--N", "1000", "--trials", "0"]

@@ -63,7 +63,7 @@ class TestExpectedSupportOrlicz:
         v6 = expected_support_orlicz(body, 0, 10**6)
         assert v6 / v3 == pytest.approx(2.0, rel=0.25)
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, INF])
     def test_canonical_directions_use_stop_loss(self, p):
         assert build_direction_orlicz(BodySpec(p, 10), 0).kind == "tail-integral"
 

@@ -13,7 +13,6 @@ from orlicz_polytope.mathkit import (
     ball_volume_log,
     ball_volume_ratio,
     bisect,
-    log1p_pow,
     log_gamma,
     quad_adaptive,
     quad_cumulative,
@@ -214,18 +213,3 @@ class TestSinCosRecursion:
     def test_identity_property(self, alpha, beta, upper, k):
         lhs, rhs = sincos_identity_sides(SinCosParams(alpha, beta, upper, k))
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
-
-
-class TestLog1pPow:
-    def test_values(self):
-        assert log1p_pow(0.0, 3.0) == 0.0
-        assert log1p_pow(1.0, 5.0) == -math.inf
-        assert log1p_pow(1e-12, 1e12) == pytest.approx(-1.0, abs=1e-6)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log1p_pow(-0.1, 1.0)
-        with pytest.raises(DomainError):
-            log1p_pow(1.1, 1.0)
-        with pytest.raises(DomainError):
-            log1p_pow(0.5, 0.0)
