@@ -327,12 +327,24 @@ def _fill_chunk(body: BodySpec, view: np.ndarray, seed: int, idx: int) -> None:
         u = stream(seed, "cube", idx).random((size, n))
         view[:] = scale * (2.0 * u - 1.0)
         return
-    # |g_i|^p ~ Gamma(1/p, 1); the ratio representation is rejection-free
-    gam =stream(seed, "gamma", idx).standard_gamma(1.0 / p, (size, n))
-    expo = stream(seed, "expo", idx).standard_exponential(size)
-    signs = np.where(stream(seed, "sign", idx).random((size, n)) < 0.5, -1.0, 1.0)
-    radial = (gam.sum(axis=1) + expo) ** (1.0 / p)
-    view[:] = scale * signs * gam ** (1.0 / p) / radial[:, None]
+    # X = scale * Y / (sum |Y_i|^p + E)^{1/p} with Y_i of density prop. to
+    # exp(-|y|^p): Y_i = H^{1/p} V, H ~ Gamma(1 + 1/p), V ~ U(-1, 1), since
+    # |Y_i|^p = H |V|^p ~ Gamma(1/p) by Gamma(a) = Gamma(a + 1) U^{1/a}.
+    # numpy draws a shape above 1 by Marsaglia-Tsang; below 1 it falls back
+    # to a slow scalar rejection loop.
+    mag = stream(seed, "ball-gamma", idx).standard_gamma(1.0 + 1.0 / p, (size, n))
+    mag **= 1.0 / p
+    stream(seed, "ball-unif", idx).random(out=view)
+    view *= 2.0
+    view -= 1.0
+    view *= mag
+    np.abs(view, out=mag)
+    mag **= p
+    radial = mag.sum(axis=1)
+    radial += stream(seed, "ball-expo", idx).standard_exponential(size)
+    radial **= -1.0 / p
+    radial *= scale
+    view *= radial[:, None]
 
 
 def sample_coordinate(body: BodySpec, count: int, seed: int) -> np.ndarray:

@@ -177,7 +177,7 @@ OPTIONS = {
     "N": (_parse_n_list, dict(action="append", type=int, help="vertex-pair count (repeat for a scan)")),
     "dir": (str, dict(help="e<j>, random, or an explicit vector")),
     "seed": (int, dict(type=int, help=f"seed (default ${SEED_ENV} or 0)")),
-    "trials": (int, dict(type=int, help="MC trials (0 disables MC)")),
+    "trials": (int, dict(type=int, help="MC trials (0 disables MC, else at least 2)")),
     "dirs": (int, dict(type=int, help="sphere directions")),
     "threads": (int, dict(type=int, help="parallel workers")),
     "out": (str, dict(help="output directory")),
@@ -219,8 +219,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command, **values)
     if cfg.n < 1:
         raise ConfigError("n must be a positive integer")
-    if cfg.trials < 0:
-        raise ConfigError("trials must be nonnegative")
+    if cfg.trials < 0 or cfg.trials == 1:
+        raise ConfigError(f"trials must be 0 (MC off) or at least 2, got {cfg.trials}")
     if cfg.threads < 1:
         raise ConfigError("threads must be at least 1")
     if command in ("estimate", "directions") and len(cfg.N) != 1:
@@ -229,6 +229,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"{command} needs an N grid with at least 4 points")
     if command == "directions" and cfg.dirs < 1000:
         raise ConfigError(f"directions needs at least 1000 directions, got {cfg.dirs}")
+    if command == "meanwidth" and cfg.dirs < 1:
+        raise ConfigError(f"meanwidth needs at least 1 direction, got {cfg.dirs}")
     return cfg
 
 

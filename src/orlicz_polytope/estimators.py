@@ -39,6 +39,7 @@ from .errors import DomainError, HypothesisError, RangeError
 from .mathkit import bisect, quad_cumulative
 from .orlicz import (
     OrliczFunction,
+    empirical_roots,
     from_empirical,
     from_tail,
     invert_for_support,
@@ -70,6 +71,7 @@ __all__ = [
 ]
 
 DEFAULT_PROJ_SAMPLES = 10**6
+_SCAN_BLOCK = 8  # directions projected per product in direction_measure_scan
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +90,8 @@ class PolytopeExperiment:
     def __post_init__(self):
         if self.N < 1:
             raise DomainError("N must be positive")
-        if self.mc_trials < 1:
-            raise DomainError("mc_trials must be positive")
+        if self.mc_trials < 2:
+            raise DomainError("mc_trials must be at least 2: one trial gives no confidence interval")
         if self.N < self.body.n:
             warnings.warn("N below the dimension: the polytope is degenerate", stacklevel=2)
 
@@ -300,8 +302,7 @@ def _parallel_map(fn, items, threads: int) -> list:
 def _mc_report(values: Sequence[float], orlicz_value: Optional[float], meta: dict) -> EstimateReport:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    half = 1.96 * sd / math.sqrt(arr.size)
+    half = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
     ratio = mean / orlicz_value if orlicz_value else None
     return EstimateReport(
         orlicz_value=orlicz_value,
@@ -346,8 +347,10 @@ def mean_width_mc(
     orlicz_value: Optional[float] = None,
 ) -> EstimateReport:
     """Monte Carlo mean width: fresh sphere directions per polytope draw."""
-    if trials < 1 or n_dirs < 1:
-        raise DomainError("trials and n_dirs must be positive")
+    if trials < 2:
+        raise DomainError("trials must be at least 2: one trial gives no confidence interval")
+    if n_dirs < 1:
+        raise DomainError("n_dirs must be positive")
     t0 = time.perf_counter()
     args = [(body.p, body.n, body.normalized, N, n_dirs, seed, t) for t in range(trials)]
     values = _parallel_map(_mean_width_trial, args, threads)
@@ -511,7 +514,9 @@ def direction_measure_scan(
     The upper/lower thresholds are 4x and 1/4x the median estimate;
     fraction_upper (resp. fraction_lower) is the measure of directions at
     or below (resp. at or above) them, reported next to the orders the
-    two-sided theory predicts for level r.
+    two-sided theory predicts for level r.  For p != 2 every estimate is the
+    closed-form root (empirical_roots) of one shared cloud of proj_samples
+    uniform points projected on the direction.
     """
     if n_dirs < 1000:
         raise DomainError("direction scans need n_dirs >= 1000")
@@ -524,8 +529,10 @@ def direction_measure_scan(
     else:
         cloud = sample_uniform(body, proj_samples, derive_seed(seed, "scan-cloud"))
         estimates = np.empty(n_dirs)
-        for i, d in enumerate(dirs):
-            estimates[i] = invert_for_support(from_empirical(cloud @ d), N)
+        # each direction's projections fill one contiguous row: partitioning
+        # down the columns of cloud @ dirs.T instead took twice as long
+        for lo in range(0, n_dirs, _SCAN_BLOCK):
+            estimates[lo : lo + _SCAN_BLOCK] = empirical_roots(dirs[lo : lo + _SCAN_BLOCK] @ cloud.T, N)
     med = float(np.median(estimates))
     upper, lower = 4.0 * med, med / 4.0
     scale = isotropic_constant(body) * math.sqrt(math.log(N))

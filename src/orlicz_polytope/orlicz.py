@@ -42,6 +42,7 @@ __all__ = [
     "from_pball",
     "from_tail",
     "from_empirical",
+    "empirical_roots",
     "from_spherical",
     "legendre_dual",
     "dual_involution_error",
@@ -414,6 +415,46 @@ def from_empirical(projections: Sequence[float]) -> OrliczFunction:
         return float(t * prefix[k - 1] - k) / total
 
     return OrliczFunction(eval=ev, zero_threshold=float(thresholds[0]), kind="empirical")
+
+
+def empirical_roots(atoms: np.ndarray, N: int) -> np.ndarray:
+    """invert_for_support(from_empirical(row), N) for each row of atoms, in
+    closed form: the s with mean((|v| - s)_+) = s / N.
+
+    With the K values of a row sorted descending and S_k the sum of the k
+    largest, the root is S_k / (k + K/N) for the k with v_(k+1) < s <= v_(k)
+    (v_(K+1) = 0).  Every ratio S_k / (k + K/N) is at most the root, so the
+    root is their maximum over k <= L once v_(L+1) does not exceed that
+    maximum.  Only the top L + 1 values of a row are partitioned out and
+    sorted; L grows for the rows whose root needs more of them.
+    """
+    if N < 1:
+        raise DomainError("N must be a positive integer")
+    v = np.abs(np.atleast_2d(np.asarray(atoms, dtype=float)))
+    rows, total = v.shape
+    if total == 0:
+        raise DomainError("empirical roots need at least one atom per row")
+    roots = np.empty(rows)
+    todo = np.arange(rows)
+    # at N = 1e3 the root's k is about 10 K/N for l_p projections in
+    # dimension 15 and 30; few rows need a wider L
+    top = min(total, 16 * total // N + 64)
+    while todo.size:
+        part = v if todo.size == rows else v[todo]
+        if top < total:
+            part.partition(total - top - 1, axis=1)
+            below, part = part[:, total - top - 1], part[:, total - top :]
+        else:
+            below = np.zeros(todo.size)
+        sums = np.cumsum(np.sort(part, axis=1)[:, ::-1], axis=1)
+        best = np.max(sums / (np.arange(1, top + 1) + total / N), axis=1)
+        done = below <= best
+        roots[todo[done]] = best[done]
+        todo = todo[~done]
+        top = min(total, 4 * top)
+    if not np.all(roots > 0):
+        raise EstimationError("all projections of a row vanish")
+    return roots
 
 
 def from_spherical(n: int, quad: QuadratureSpec = DEFAULT_QUAD) -> OrliczFunction:

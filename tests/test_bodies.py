@@ -244,6 +244,21 @@ class TestKolmogorovSmirnov:
         assert marginal_ks(body, sample) <= 2.0 * 1.63 / math.sqrt(m)
 
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 6.0])
+    @pytest.mark.parametrize("n", [2, 10, 30])
+    def test_radial_law_ks(self, p, n):
+        # X uniform in R B_p^n has (||X||_p / R)^n ~ U(0, 1): a check of the
+        # whole vector, not of one coordinate
+        m = 20000
+        body = BodySpec(p, n)
+        pts = sample_uniform(body, m, derive_seed(17, "ks-radial", int(p * 10), n))
+        assert bool(np.all(contains(body, pts)))
+        u = np.sort(np.sum(np.abs(pts / normalization_scale(body)) ** p, axis=1) ** (n / p))
+        emp = np.arange(1, m + 1) / m
+        ks = float(np.max(np.maximum(emp - u, u - (emp - 1.0 / m))))
+        assert ks <= 2.0 * 1.63 / math.sqrt(m)
+
+
 class TestIsotropy:
     def test_cube_constant(self):
         rep = isotropy_report(BodySpec(INF, 8), 10**6, 23)

@@ -91,6 +91,15 @@ class TestConfigParsing:
     def test_directions_refuses_fewer_than_1000(self, tmp_path):
         assert run(tmp_path, *ARGS["directions"], "--dirs", "999") == 2
 
+    @pytest.mark.parametrize("command", ["estimate", "scan", "meanwidth"])
+    def test_one_trial_exit_2(self, tmp_path, command):
+        # one MC trial would report a zero-width confidence interval
+        assert run(tmp_path, *ARGS[command], "--trials", "1") == 2
+
+    @pytest.mark.parametrize("dirs", ["0", "-5"])
+    def test_meanwidth_refuses_fewer_than_1_direction(self, tmp_path, dirs):
+        assert run(tmp_path, *ARGS["meanwidth"], "--dirs", dirs) == 2
+
     @pytest.mark.parametrize("command", sorted(KEEPS))
     def test_config_echo_lists_read_options(self, tmp_path, monkeypatch, command):
         monkeypatch.delenv("ORLICZ_POLYTOPE_SEED", raising=False)

@@ -13,6 +13,7 @@ from orlicz_polytope.bodies import (
     project_uniform,
     sample_coordinate,
     sample_sphere,
+    sample_uniform,
     support_function,
 )
 from orlicz_polytope import estimators
@@ -35,7 +36,7 @@ from orlicz_polytope.estimators import (
     _spherical_values,
     _support_trial,
 )
-from orlicz_polytope.orlicz import from_empirical, m_pball_first, m_spherical
+from orlicz_polytope.orlicz import from_empirical, invert_for_support, m_pball_first, m_spherical
 
 INF = math.inf
 
@@ -179,6 +180,13 @@ class TestExpectedSupportMC:
         monkeypatch.setattr(estimators, "ProcessPoolExecutor", RecordingPool)
         assert expected_support_mc(exp, threads=threads).mc_mean == serial.mc_mean
         assert started == [workers]
+
+    def test_refuses_one_trial(self):
+        # one trial has no standard deviation, so no confidence interval
+        with pytest.raises(DomainError):
+            PolytopeExperiment(BodySpec(INF, 3), 2, 0, mc_trials=1, seed=0)
+        with pytest.raises(DomainError):
+            mean_width_mc(BodySpec(2.0, 3), 10, trials=1, n_dirs=4)
 
     def test_warns_below_dimension(self):
         with pytest.warns(UserWarning):
@@ -333,6 +341,15 @@ class TestDirectionScan:
     def test_requires_directions(self):
         with pytest.raises(DomainError):
             direction_measure_scan(BodySpec(1.0, 5), 100, r=1.0, n_dirs=10)
+
+    def test_blocks_match_per_direction_inversion(self):
+        # 1003 directions: the last block of the scan is a partial one
+        body, N, seed = BodySpec(1.5, 6), 100, 8
+        scan = direction_measure_scan(body, N, r=1.0, n_dirs=1003, seed=seed, proj_samples=10**4)
+        cloud = sample_uniform(body, 10**4, derive_seed(seed, "scan-cloud"))
+        dirs = sample_sphere(6, 1003, derive_seed(seed, "scan-dirs"))
+        want = np.array([invert_for_support(from_empirical(cloud @ d), N) for d in dirs])
+        assert np.all(np.abs(scan.estimates - want) <= 1e-9 * want)
 
 
 class TestScalingFit:

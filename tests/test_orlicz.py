@@ -13,11 +13,12 @@ from orlicz_polytope.bodies import (
     project_uniform,
     sample_sphere,
 )
-from orlicz_polytope.errors import DomainError, RangeError
+from orlicz_polytope.errors import DomainError, EstimationError, RangeError
 from orlicz_polytope.mathkit import Interval, QuadratureSpec, quad_adaptive
 from orlicz_polytope.orlicz import (
     OrliczFunction,
     dual_involution_error,
+    empirical_roots,
     from_cube,
     from_empirical,
     from_pball,
@@ -225,6 +226,55 @@ class TestEmpirical:
         err6 = sup_err(6, derive_seed(1, "emp", 6))
         assert err6 < 5e-3
         assert err6 < err3
+
+
+class TestEmpiricalRoots:
+    """The closed-form root against the bisection of the empirical M."""
+
+    @staticmethod
+    def assert_matches_bisection(rows, N):
+        got = empirical_roots(rows, N)
+        want = np.array([invert_for_support(from_empirical(row), N) for row in rows])
+        assert np.all(np.abs(got - want) <= 1e-9 * want)
+        return got
+
+    @pytest.mark.parametrize("N", [1, 2, 10**3, 10**6])
+    def test_matches_bisection(self, N):
+        # K = 1e4 atoms per row, so N = 1e6 puts the level below one atom
+        rng = np.random.default_rng(N)
+        rows = np.vstack([rng.normal(size=10**4), rng.random(10**4) - 0.5, rng.laplace(size=10**4)])
+        self.assert_matches_bisection(rows, N)
+
+    def test_all_equal_atoms(self):
+        # every atom lies above the root: k = K, s = K c / (K + K/N)
+        rows = np.full((2, 10**4), 0.75)
+        got = self.assert_matches_bisection(rows, 10**3)
+        assert got == pytest.approx(0.75 * 10**3 / (10**3 + 1), rel=1e-15)
+
+    @pytest.mark.parametrize("N", [3, 100, 10**4])
+    def test_tied_and_zero_atoms(self, N):
+        rng = np.random.default_rng(7)
+        rows = rng.integers(-3, 4, size=(4, 10**4)).astype(float)
+        rows[1, : 9 * 10**3] = 0.0
+        self.assert_matches_bisection(rows, N)
+
+    def test_rows_that_widen_the_top_atoms(self):
+        # a uniform row's root has k above the starting L = 16 K/N + 64,
+        # so it is solved in a later round than the normal rows of its block
+        rng = np.random.default_rng(11)
+        K, N = 10**4, 10**3
+        rows = np.vstack([rng.normal(size=K), rng.random(K), rng.normal(size=K), np.full(K, 2.0)])
+        got = self.assert_matches_bisection(rows, N)
+        above = np.sum(np.abs(rows) > got[:, None], axis=1)
+        assert above[0] < 16 * K // N + 64 < above[1]
+
+    def test_refusals(self):
+        with pytest.raises(EstimationError):
+            empirical_roots(np.zeros((2, 10)), 10)
+        with pytest.raises(DomainError):
+            empirical_roots(np.ones((2, 10)), 0)
+        with pytest.raises(DomainError):
+            empirical_roots([], 10)
 
 
 class TestLegendre:
