@@ -606,9 +606,10 @@ def run_support_scan(
 ) -> ScanResult:
     """Support-function law scan over N; fits log(est) vs log(log N)."""
     _check_grid(N_grid)
+    M = build_direction_orlicz(body, direction, proj_samples, seed)  # does not depend on N
     estimates, oracles = [], []
     for N in N_grid:
-        est = expected_support_orlicz(body, direction, int(N), proj_samples=proj_samples, seed=seed)
+        est = invert_for_support(M, int(N))
         estimates.append(est)
         if trials > 0:
             rep = expected_support_mc(

@@ -3,8 +3,10 @@
 The quadrature routine is a globally adaptive bisection scheme built on a
 15-point Gauss-Kronrod rule.  Integrands are evaluated on arrays of
 abscissae, so callables should accept numpy arrays; scalar returns are
-broadcast.  Everything here is pure, reentrant and deterministic for fixed
-inputs.
+broadcast.  quad_batch runs the same rule and stop on many intervals at
+once, evaluating every panel of a refinement round in one integrand call;
+the nested test oracles use it for their inner integrals.  Everything here
+is pure, reentrant and deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "ball_volume_log",
     "ball_volume_ratio",
     "quad_adaptive",
+    "quad_batch",
     "quad_cumulative",
     "sincos_recursion",
     "sincos_identity_sides",
@@ -53,7 +56,7 @@ class Interval:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and depth budget for quad_adaptive."""
+    """Tolerances and depth budget for quad_adaptive and quad_batch."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -236,6 +239,96 @@ def quad_adaptive(f: Callable, iv: Interval, spec: QuadratureSpec = DEFAULT_QUAD
     # fixed-order reduction so identical inputs give bit-identical results
     panels = sorted((entry[1], entry[4]) for entry in heap)
     return float(math.fsum(v for _, v in panels))
+
+
+def _eval_panels(f: Callable, a: np.ndarray, b: np.ndarray):
+    """Kronrod values and |Kronrod - Gauss| errors of the panels [a_i, b_i],
+    from one call of f on the (m, 15) node array."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    x = mid[:, None] + half[:, None] * _NODES
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        fx = np.asarray(f(x), dtype=float)
+    if fx.shape != x.shape:
+        fx = np.broadcast_to(fx, x.shape)
+    if not np.all(np.isfinite(fx)):
+        bad = int(np.argmin(np.all(np.isfinite(fx), axis=1)))
+        raise DomainError(f"integrand non-finite inside panel [{a[bad]}, {b[bad]}]")
+    # a row-wise reduce sums each panel in the same order however many
+    # panels share the call (a BLAS product need not)
+    kron = np.add.reduce(fx * _KW, axis=1)
+    gauss = np.add.reduce(fx * _GW, axis=1)
+    return half * kron, np.abs(half * (kron - gauss))
+
+
+def quad_batch(f: Callable, lo, hi, spec: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
+    """Integrals of f over each [lo[k], hi[k]], each to within
+    max(abs_tol, rel_tol * |its value|), as an array.
+
+    The rule and the stop of quad_adaptive, run on all intervals together:
+    f receives an (m, 15) array of abscissae and must act elementwise.
+    Each round, every interval still above its tolerance bisects the panels
+    whose error is within 10x of its worst panel, and all new panels are
+    evaluated in one f call.  Each value is the fsum of its own panels taken
+    by left endpoint, so it does not depend on the other intervals in the
+    batch.  Raises DomainError for a non-finite integrand and AccuracyError,
+    with the worst interval's estimate and error bound, when the depth or
+    panel budget runs out.
+    """
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.atleast_1d(np.asarray(hi, dtype=float)))
+    if lo.ndim != 1:
+        raise DomainError("interval endpoints must be scalars or 1-D arrays")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise DomainError("interval endpoints must be finite")
+    if np.any(lo > hi):
+        raise DomainError("every interval needs lo <= hi")
+    count = lo.size
+    out = np.zeros(count)
+    live = np.flatnonzero(lo < hi)  # zero-width intervals integrate to 0
+    if live.size == 0:
+        return out
+    # one row per panel: lo, hi, owner, depth, value, error bound
+    rows = np.zeros((live.size, 6))
+    rows[:, 0], rows[:, 1], rows[:, 2] = lo[live], hi[live], live
+    rows[:, 4], rows[:, 5] = _eval_panels(f, rows[:, 0], rows[:, 1])
+    while True:
+        owner = rows[:, 2].astype(np.intp)
+        total_val = np.bincount(owner, rows[:, 4], count)
+        total_err = np.bincount(owner, rows[:, 5], count)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_val))
+        todo = total_err > tol
+        if not todo.any():
+            break
+        worst = np.zeros(count)
+        np.maximum.at(worst, owner, rows[:, 5])
+        split = todo[owner] & (10.0 * rows[:, 5] >= worst[owner])
+        old = rows[split]
+        spent = np.zeros(count, dtype=bool)
+        spent[old[old[:, 3] >= spec.max_depth, 2].astype(np.intp)] = True
+        if len(rows) + len(old) > _MAX_PANELS:  # else no interval can pass it
+            panels = np.bincount(owner, minlength=count) + np.bincount(owner[split], minlength=count)
+            spent |= panels > _MAX_PANELS
+        if spent.any():
+            k = int(np.argmax(np.where(spent, total_err / tol, -1.0)))
+            raise AccuracyError(
+                f"quadrature did not converge: error bound {total_err[k]:.3e} > tolerance {tol[k]:.3e}",
+                estimate=float(total_val[k]),
+                error_bound=float(total_err[k]),
+            )
+        mid = 0.5 * (old[:, 0] + old[:, 1])
+        new = np.concatenate((old, old))
+        new[: len(old), 1] = mid
+        new[len(old) :, 0] = mid
+        new[:, 3] += 1
+        new[:, 4], new[:, 5] = _eval_panels(f, new[:, 0], new[:, 1])
+        rows = np.concatenate((rows[~split], new))
+    rows = rows[np.lexsort((rows[:, 0], rows[:, 2]))]
+    owner = rows[:, 2].astype(np.intp)
+    starts = np.flatnonzero(np.diff(owner)) + 1
+    for k, vals in zip(owner[np.concatenate(([0], starts))], np.split(rows[:, 4], starts)):
+        out[k] = math.fsum(vals)
+    return out
 
 
 def quad_cumulative(f: Callable, points: np.ndarray, chunk: int = 100_000) -> np.ndarray:

@@ -28,6 +28,7 @@ from .mathkit import (
     ball_volume_ratio,
     bisect,
     quad_adaptive,
+    quad_batch,
 )
 
 __all__ = [
@@ -72,36 +73,6 @@ class OrliczFunction:
 # ---------------------------------------------------------------------------
 # tail-integral representations
 
-def _tail_moment_fn(marg: MarginalDensity, quad: QuadratureSpec) -> Callable[[float], float]:
-    radius = marg.support_radius
-
-    def tail(a: float) -> float:
-        if a >= radius:
-            return 0.0
-        return quad_adaptive(
-            lambda r: 2.0 * r * np.asarray(marg.density(r), dtype=float),
-            Interval(max(a, 0.0), radius),
-            quad,
-        )
-
-    return tail
-
-
-def _survival_fn(marg: MarginalDensity, quad: QuadratureSpec) -> Callable[[float], float]:
-    radius = marg.support_radius
-
-    def survival(a: float) -> float:
-        if a >= radius:
-            return 0.0
-        return quad_adaptive(
-            lambda r: 2.0 * np.asarray(marg.density(r), dtype=float),
-            Interval(max(a, 0.0), radius),
-            quad,
-        )
-
-    return survival
-
-
 def m_from_tail(marginal: MarginalDensity, s: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Tail-integral M(s): outer integral of the truncated first moment."""
     if s < 0:
@@ -110,11 +81,11 @@ def m_from_tail(marginal: MarginalDensity, s: float, quad: QuadratureSpec = DEFA
     if s * radius <= 1.0:
         return 0.0
     quad = quad.rel_only()
-    tail = _tail_moment_fn(marginal, quad.tighter())
+    inner = quad.tighter()
 
-    def outer(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.array([tail(1.0 / ti) for ti in t])
+    def outer(t):  # truncated first moment E[|X|; |X| >= 1/t] at every node
+        lo = np.minimum(1.0 / t, radius)
+        return quad_batch(lambda r: 2.0 * r * marginal.density(r), lo, radius, inner)
 
     return quad_adaptive(outer, Interval(1.0 / radius, s), quad)
 
@@ -133,15 +104,17 @@ def m_from_tail_alt(marginal: MarginalDensity, s: float, quad: QuadratureSpec = 
     if s * radius <= 1.0:
         return 0.0
     quad = quad.rel_only()
-    survival = _survival_fn(marginal, quad.tighter())
+    inner = quad.tighter()
+
+    def survival(a):  # P(|X| >= a) at every node
+        lo = np.minimum(a, radius)
+        return quad_batch(lambda r: 2.0 * marginal.density(r), lo, radius, inner)
 
     def hazard(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.array([survival(1.0 / ti) / ti for ti in t])
+        return survival(1.0 / t) / t
 
     def excess(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return np.array([survival(ui) * (s - 1.0 / ui) for ui in u])
+        return survival(u) * (s - 1.0 / u)
 
     term1 = quad_adaptive(hazard, Interval(1.0 / radius, s), quad)
     term2 = quad_adaptive(excess, Interval(1.0 / s, radius), quad)
@@ -181,20 +154,6 @@ def _sin_cos_integral(a: float, b: float, theta_max: float, quad: QuadratureSpec
     return quad_adaptive(f, Interval(0.0, theta_max), quad)
 
 
-def _inner_radial(p: float, u_lo: float, power: float, m_exp: float, quad: QuadratureSpec) -> float:
-    """int_{u_lo}^1 u^power (1 - u^p)^m_exp du in log space."""
-
-    def f(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lu = np.log(u)
-            one_minus = -np.expm1(p * lu)
-            one_minus = np.where(one_minus <= 0.0, 0.0, one_minus)
-            return np.exp(power * lu + m_exp * np.log(one_minus))
-
-    return quad_adaptive(f, Interval(u_lo, 1.0), quad)
-
-
 def _double_radial(
     p: float,
     theta_max: float,
@@ -202,19 +161,20 @@ def _double_radial(
     m_exp: float,
     quad: QuadratureSpec,
 ) -> float:
-    """int_0^theta_max sin/cos^{1+2/p} * int_{cos^{2/p}}^1 u^power (1-u^p)^m_exp."""
+    """int_0^theta_max sin/cos^{1+2/p} * int_{cos^{2/p}}^1 u^power (1-u^p)^m_exp,
+    the inner integral in log space."""
     inner_quad = quad.tighter()
 
+    def radial(u):  # quad_batch silences the floating-point warnings
+        lu = np.log(u)
+        one_minus = -np.expm1(p * lu)
+        one_minus = np.where(one_minus <= 0.0, 0.0, one_minus)
+        return np.exp(power * lu + m_exp * np.log(one_minus))
+
     def outer(theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.empty_like(theta)
-        for i, th in enumerate(theta):
-            ct = math.cos(th)
-            u_lo = ct ** (2.0 / p)
-            out[i] = math.sin(th) * ct ** (-(1.0 + 2.0 / p)) * _inner_radial(
-                p, u_lo, power, m_exp, inner_quad
-            )
-        return out
+        ct = np.cos(theta)
+        inner = quad_batch(radial, ct ** (2.0 / p), 1.0, inner_quad)
+        return np.sin(theta) * ct ** (-(1.0 + 2.0 / p)) * inner
 
     return quad_adaptive(outer, Interval(0.0, theta_max), quad)
 

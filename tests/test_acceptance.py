@@ -8,6 +8,7 @@ printed alongside and checked against the stated budgets.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,6 +17,7 @@ from scipy.special import betainc
 from orlicz_polytope.bodies import (
     BodySpec,
     coordinate_ks,
+    coordinate_marginal,
     derive_seed,
     isotropic_constant,
     isotropy_report,
@@ -34,7 +36,10 @@ from orlicz_polytope.mathkit import SinCosParams, sincos_identity_sides
 from orlicz_polytope.orlicz import (
     build_consistency_grid,
     from_cube,
+    from_tail,
     invert_for_support,
+    m_from_tail,
+    m_from_tail_alt,
     m_pball_first,
     representation_spread,
 )
@@ -124,6 +129,58 @@ def test_criterion_2_representation_consistency():
         "closed forms vs tail integrals and the stop-loss path",
         worst <= 1e-6 and elapsed < 120.0,
         f"max pairwise rel {worst:.2e} at {where} (tol 1e-6), {elapsed:.0f}s < 120s",
+    )
+
+
+def exact_m(p, n, s):
+    """M(1/s) of the l_p coordinate marginal through the incomplete beta function:
+    M(t) = (2cR/p) [tR I(2/p) - I(1/p)], I(alpha) = int_x^1 u^{alpha-1} (1-u)^a du,
+    x = (tR)^{-p}, a = (n-1)/p, c the density at 0.  I(alpha) is evaluated as
+    betainc(a+1, alpha, 0, 1-x) at 40 digits; the direct form betainc(alpha, a+1, x, 1)
+    cancels to 0 near the support edge."""
+    with mpmath.workdps(40):
+        p, a = mpmath.mpf(p), mpmath.mpf(n - 1) / p
+        vol = lambda k: (2 * mpmath.gamma(1 + 1 / p)) ** k / mpmath.gamma(1 + k / p)
+        radius = vol(n) ** (-mpmath.mpf(1) / n)
+        c = vol(n - 1) / vol(n) ** (mpmath.mpf(n - 1) / n)
+        tr = radius / mpmath.mpf(s)
+        tail = lambda alpha: mpmath.betainc(a + 1, alpha, 0, 1 - tr ** (-p))
+        return float(2 * c * radius / p * (tr * tail(2 / p) - tail(1 / p)))
+
+
+def test_criterion_2_exact_m():
+    # the exact oracle beside criterion 2: production over the range the
+    # inversion lands in, the two tail-integral oracles on the consistency band
+    t0 = time.perf_counter()
+    ps, ns = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0), (2, 10, 30, 50)
+    worst = {"from_tail": (0.0, None), "m_from_tail": (0.0, None), "m_from_tail_alt": (0.0, None)}
+
+    def check(name, value, want, cell):
+        rel = abs(value - want) / want
+        if rel > worst[name][0]:
+            worst[name] = (rel, cell)
+
+    for p in ps:
+        for n in ns:
+            body = BodySpec(p, n)
+            radius, marg = normalization_scale(body), coordinate_marginal(body)
+            M = from_tail(marg)
+            for frac in np.linspace(0.05, 0.995, 8).tolist():
+                s = frac * radius
+                check("from_tail", M(1.0 / s), exact_m(p, n, s), (p, n, round(frac, 3)))
+    for p, n, frac in build_consistency_grid(ps, ns, 4):
+        body = BodySpec(p, n)
+        s = frac * normalization_scale(body)
+        marg, want = coordinate_marginal(body), exact_m(p, n, s)
+        check("m_from_tail", m_from_tail(marg, 1.0 / s), want, (p, n, round(frac, 3)))
+        check("m_from_tail_alt", m_from_tail_alt(marg, 1.0 / s), want, (p, n, round(frac, 3)))
+    elapsed = time.perf_counter() - t0
+    report(
+        2,
+        "stop-loss path and tail oracles vs exact incomplete-beta M",
+        all(rel <= 1e-9 for rel, _ in worst.values()),
+        "; ".join(f"{k} max rel {rel:.2e} at {cell}" for k, (rel, cell) in worst.items())
+        + f" (tol 1e-9; 192 + 96 cells), {elapsed:.1f}s",
     )
 
 

@@ -29,6 +29,7 @@ from orlicz_polytope.estimators import (
     general_upper_bound,
     mean_width_mc,
     mean_width_orlicz,
+    run_support_scan,
     scaling_fit,
     solve_tilde_s,
     sphere_average_m,
@@ -350,6 +351,24 @@ class TestDirectionScan:
         dirs = sample_sphere(6, 1003, derive_seed(seed, "scan-dirs"))
         want = np.array([invert_for_support(from_empirical(cloud @ d), N) for d in dirs])
         assert np.all(np.abs(scan.estimates - want) <= 1e-9 * want)
+
+
+class TestSupportScan:
+    def test_builds_orlicz_function_once(self, monkeypatch):
+        body = BodySpec(1.5, 6)
+        theta = [0.3, -1.2, 0.5, 2.0, 0.1, -0.7]
+        grid = (10, 100, 1000, 10**4)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return project_uniform(*args)
+
+        monkeypatch.setattr(estimators, "project_uniform", counting)
+        scan = run_support_scan(body, theta, grid, trials=0, seed=5, proj_samples=10**4)
+        assert len(calls) == 1
+        for row, N in zip(scan.rows, grid):
+            assert row.estimate == expected_support_orlicz(body, theta, N, proj_samples=10**4, seed=5)
 
 
 class TestScalingFit:

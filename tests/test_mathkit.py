@@ -15,6 +15,7 @@ from orlicz_polytope.mathkit import (
     bisect,
     log_gamma,
     quad_adaptive,
+    quad_batch,
     quad_cumulative,
     sincos_identity_sides,
     sincos_recursion,
@@ -147,6 +148,68 @@ class TestQuadAdaptive:
         assert cums[-1] == pytest.approx(math.sin(2.0), rel=1e-12)
         mid = cums[200]
         assert mid == pytest.approx(math.sin(pts[200]), rel=1e-10)
+
+
+class TestQuadBatch:
+    LO = np.array([0.0, 0.25, 0.5, 0.0, 0.9])
+    HI = np.array([1.0, 3.0, 0.5, 0.1, 1.0])
+    INTEGRANDS = {
+        "inverse-sqrt": lambda t: t**-0.5,
+        "damped-sine": lambda t: np.exp(-t) * np.sin(7 * t),
+        "sqrt-edge": lambda t: np.sqrt(np.maximum(1.0 - t, 0.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    def test_matches_adaptive_within_spec(self, name):
+        f = self.INTEGRANDS[name]
+        spec = QuadratureSpec(1e-10, 0.0, 60)
+        got = quad_batch(f, self.LO, self.HI, spec)
+        for a, b, v in zip(self.LO, self.HI, got):
+            want = quad_adaptive(f, Interval(a, b), spec)
+            assert v == pytest.approx(want, rel=2e-10, abs=0.0)
+
+    def test_inverse_sqrt_on_unit_interval(self):
+        assert quad_batch(lambda t: t**-0.5, 0.0, 1.0)[0] == pytest.approx(2.0, abs=1e-8)
+
+    def test_zero_width_gives_zero(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return np.ones_like(t)
+
+        assert quad_batch(f, [0.5, 2.0], [0.5, 2.0]).tolist() == [0.0, 0.0]
+        assert calls == []
+        assert quad_batch(f, [0.5, 0.0], [0.5, 1.0]).tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    def test_entries_independent_of_batch(self, name):
+        f = self.INTEGRANDS[name]
+        got = quad_batch(f, self.LO, self.HI)
+        assert np.array_equal(got, quad_batch(f, self.LO, self.HI))
+        for a, b, v in zip(self.LO, self.HI, got):
+            assert quad_batch(f, a, b)[0] == v
+        order = np.argsort(self.HI - self.LO)
+        assert np.array_equal(quad_batch(f, self.LO[order], self.HI[order]), got[order])
+
+    def test_non_finite_integrand(self):
+        with pytest.raises(DomainError):
+            quad_batch(lambda t: np.where(t > 0.5, np.nan, 1.0), [0.0, 0.0], [0.4, 1.0])
+        with pytest.raises(DomainError):
+            quad_batch(lambda t: np.log(t - 0.3), 0.0, 1.0)
+
+    def test_bad_intervals(self):
+        with pytest.raises(DomainError):
+            quad_batch(np.sin, [0.0, 2.0], [1.0, 1.0])
+        with pytest.raises(DomainError):
+            quad_batch(np.sin, 0.0, math.inf)
+
+    def test_depth_exhaustion_carries_estimate(self):
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=3)
+        with pytest.raises(AccuracyError) as err:
+            quad_batch(lambda t: t**-0.5, [0.5, 0.0], [1.0, 1.0], spec)
+        assert err.value.estimate == pytest.approx(2.0, rel=0.1)
+        assert err.value.error_bound > 0
 
 
 class TestBisect:
