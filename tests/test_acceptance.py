@@ -231,17 +231,23 @@ def test_criterion_5_mean_width(support_table):
     body = BodySpec(2.0, 30)
     rows = [(N, support_table[(2.0, N, "orlicz")]) for N in N_GRID_FULL]
     slope, r2 = scaling_fit(rows, "log-N")
-    ratios = []
+    ratios, zs = [], []
     for N in N_GRID_FULL:
         rep = mean_width_mc(body, N, trials=30, n_dirs=32, seed=SEED, threads=THREADS)
         ratios.append(rep.mc_mean / support_table[(2.0, N, "orlicz")])
+        # the exact oracle beside the loose band: by rotation invariance one
+        # trial's expected value is E max over a coordinate direction
+        stderr = (rep.mc_ci95[1] - rep.mc_ci95[0]) / (2 * 1.96)
+        zs.append((rep.mc_mean - exact_expected_max(2.0, 30, N)) / stderr)
     ok = r2 >= 0.98 and slope > 0 and all(0.05 <= r <= 20.0 for r in ratios)
+    ok = ok and all(abs(z) <= 6.0 for z in zs)
     elapsed = time.perf_counter() - t0
     report(
         5,
         "mean-width square-log law",
         ok and elapsed < 600.0,
-        f"r2 {r2:.4f} (need >= 0.98); mc/orlicz in [{min(ratios):.2f}, {max(ratios):.2f}]; {elapsed:.0f}s < 600s",
+        f"r2 {r2:.4f} (need >= 0.98); mc/orlicz in [{min(ratios):.2f}, {max(ratios):.2f}]; "
+        "z vs exact E max " + ", ".join(f"{z:.2f}" for z in zs) + f" (need |z| <= 6); {elapsed:.0f}s < 600s",
     )
 
 

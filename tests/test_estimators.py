@@ -29,6 +29,7 @@ from orlicz_polytope.estimators import (
     general_upper_bound,
     mean_width_mc,
     mean_width_orlicz,
+    run_mean_width_scan,
     run_support_scan,
     scaling_fit,
     solve_tilde_s,
@@ -344,13 +345,27 @@ class TestDirectionScan:
             direction_measure_scan(BodySpec(1.0, 5), 100, r=1.0, n_dirs=10)
 
     def test_blocks_match_per_direction_inversion(self):
-        # 1003 directions: the last block of the scan is a partial one
+        # 1003 directions: the last block of the profile is a partial one
         body, N, seed = BodySpec(1.5, 6), 100, 8
         scan = direction_measure_scan(body, N, r=1.0, n_dirs=1003, seed=seed, proj_samples=10**4)
-        cloud = sample_uniform(body, 10**4, derive_seed(seed, "scan-cloud"))
+        cloud_seed = derive_seed(seed, "scan-cloud")
+        cloud = sample_uniform(body, 10**4, cloud_seed)
         dirs = sample_sphere(6, 1003, derive_seed(seed, "scan-dirs"))
+        profile = direction_support_profile(body, dirs, N, seed=cloud_seed, proj_samples=10**4)
         want = np.array([invert_for_support(from_empirical(cloud @ d), N) for d in dirs])
-        assert np.all(np.abs(scan.estimates - want) <= 1e-9 * want)
+        for got in (scan.estimates, profile):
+            assert np.all(np.abs(got - want) <= 1e-9 * want)
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_profile_refuses_bad_rows(self, p):
+        # rows are not renormalized: the cloud's product would scale each
+        # estimate by its row's norm
+        body = BodySpec(p, 3)
+        bad = ([1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [1.0, 1e-5, 0.0], [2.0, 0.0, 0.0], [np.nan, 0.0, 0.0])
+        for row in bad:
+            with pytest.raises(DomainError):
+                direction_support_profile(body, [row], 10, proj_samples=100)
+        assert direction_support_profile(body, [[0.0, -1.0, 0.0]], 10, proj_samples=100).shape == (1,)
 
 
 class TestSupportScan:
@@ -369,6 +384,13 @@ class TestSupportScan:
         assert len(calls) == 1
         for row, N in zip(scan.rows, grid):
             assert row.estimate == expected_support_orlicz(body, theta, N, proj_samples=10**4, seed=5)
+
+    def test_mean_width_scan_rows(self):
+        body, grid = BodySpec(1.5, 6), (10, 100, 1000, 10**4)
+        scan = run_mean_width_scan(body, grid, trials=0, seed=3, proj_samples=10**4)
+        for row, N in zip(scan.rows, grid):
+            assert row.estimate == mean_width_orlicz(body, N, seed=3, proj_samples=10**4)
+        assert all(a.estimate < b.estimate for a, b in zip(scan.rows, scan.rows[1:]))
 
 
 class TestScalingFit:
