@@ -3,14 +3,20 @@ isotropy diagnostics, and seeded uniform samplers.
 
 Random streams are counter-based (numpy Philox) and derived by hashing
 (seed, path); every batch of work owns its stream, so results are
-reproducible regardless of chunking or parallelism.
+reproducible regardless of chunking or parallelism.  The samplers fill
+their chunks on a thread pool sized by the process's CPU affinity, with
+one thread inside worker processes (_fill_threads); per-chunk results are
+combined in chunk order, so the thread count never shows in an output.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,6 +58,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+_ROWS = 1 << 12  # rows per block of a chunk fill
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +279,45 @@ def _chunk_ranges(count: int):
         yield idx, start, min(_CHUNK, count - start)
 
 
+def _fill_threads(chunks: int) -> int:
+    """Threads that fill chunks: one inside a worker process (the MC pool of
+    estimators._parallel_map already spreads over the cores), else one per
+    core this process may run on, at most one per chunk."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cores or 1, chunks)
+
+
+def _map_chunks(count: int, task) -> list:
+    """[task(idx, start, size) for each chunk of _chunk_ranges(count)], in
+    chunk order.
+
+    The tasks run on a thread pool of _fill_threads(chunks) threads that
+    lives only for this call, so no pool thread is alive at a fork.  The
+    generator fills and large ufuncs release the GIL, and every chunk owns
+    its streams, so the results do not depend on the number of threads.
+    """
+    ranges = list(_chunk_ranges(count))
+    threads = _fill_threads(len(ranges))
+    if threads == 1:
+        return [task(*r) for r in ranges]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda r: task(*r), ranges))
+
+
+def _map_points(body: BodySpec, count: int, seed: int, fn) -> list:
+    """[fn(start, points)] for the chunks of sample_uniform(body, count,
+    seed), in chunk order; each chunk is filled into a buffer of its own."""
+
+    def task(idx, start, size):
+        view = np.empty((size, body.n))
+        _fill_chunk(body, view, seed, idx)
+        return fn(start, view)
+
+    return _map_chunks(count, task)
+
+
 def sample_uniform(body: BodySpec, count: int, seed: int) -> np.ndarray:
     """count i.i.d. uniform points in the body, one row each; deterministic
     given seed.
@@ -282,30 +328,24 @@ def sample_uniform(body: BodySpec, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise DomainError("count must be positive")
     pts = np.empty((count, body.n))
-    for idx, start, size in _chunk_ranges(count):
-        _fill_chunk(body, pts[start : start + size], seed, idx)
+    _map_chunks(count, lambda idx, start, size: _fill_chunk(body, pts[start : start + size], seed, idx))
     return pts
 
 
-def _chunks(body: BodySpec, count: int, seed: int):
-    """The uniform points of sample_uniform(body, count, seed), chunk by
-    chunk in one reused buffer: yields (start, filled view)."""
-    buf = np.empty((_CHUNK, body.n))
-    for idx, start, size in _chunk_ranges(count):
-        view = buf[:size]
-        _fill_chunk(body, view, seed, idx)
-        yield start, view
-
-
 def project_uniform(body: BodySpec, theta: Direction, count: int, seed: int) -> np.ndarray:
-    """<X_i, theta> for uniform X_i, computed chunkwise to bound memory."""
+    """<X_i, theta> for uniform X_i: the points of sample_uniform(body,
+    count, seed) are filled and projected chunk by chunk, on the process's
+    cores, so only one chunk of points per thread is held."""
     if count < 1:
         raise DomainError("count must be positive")
     out = np.empty(count)
-    for start, view in _chunks(body, count, seed):
+
+    def project(start, view):
         # einsum, not BLAS: a BLAS product starts its own threads inside
         # every MC worker process, where they spin for no gain
         out[start : start + len(view)] = np.einsum("ij,j->i", view, theta.coords)
+
+    _map_points(body, count, seed, project)
     return out
 
 
@@ -314,37 +354,55 @@ def sample_norms(body: BodySpec, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise DomainError("count must be positive")
     out = np.empty(count)
-    for start, view in _chunks(body, count, seed):
+
+    def norms(start, view):
         out[start : start + len(view)] = np.linalg.norm(view, axis=1)
+
+    _map_points(body, count, seed, norms)
     return out
 
 
 def _fill_chunk(body: BodySpec, view: np.ndarray, seed: int, idx: int) -> None:
+    """The uniform points of chunk idx, drawn in blocks of _ROWS rows: each
+    stream yields the same variates as one draw for the whole chunk, and the
+    temporaries of a block stay in cache."""
     p, n = body.p, body.n
     scale = normalization_scale(body)
-    size = view.shape[0]
+    blocks = range(0, view.shape[0], _ROWS)
     if math.isinf(p):
-        u = stream(seed, "cube", idx).random((size, n))
-        view[:] = scale * (2.0 * u - 1.0)
+        cube = stream(seed, "cube", idx)
+        for lo in blocks:
+            block = view[lo : lo + _ROWS]
+            cube.random(out=block)
+            block *= 2.0
+            block -= 1.0
+            block *= scale
         return
     # X = scale * Y / (sum |Y_i|^p + E)^{1/p} with Y_i of density prop. to
     # exp(-|y|^p): Y_i = H^{1/p} V, H ~ Gamma(1 + 1/p), V ~ U(-1, 1), since
     # |Y_i|^p = H |V|^p ~ Gamma(1/p) by Gamma(a) = Gamma(a + 1) U^{1/a}.
     # numpy draws a shape above 1 by Marsaglia-Tsang; below 1 it falls back
     # to a slow scalar rejection loop.
-    mag = stream(seed, "ball-gamma", idx).standard_gamma(1.0 + 1.0 / p, (size, n))
-    mag **= 1.0 / p
-    stream(seed, "ball-unif", idx).random(out=view)
-    view *= 2.0
-    view -= 1.0
-    view *= mag
-    np.abs(view, out=mag)
-    mag **= p
-    radial = mag.sum(axis=1)
-    radial += stream(seed, "ball-expo", idx).standard_exponential(size)
-    radial **= -1.0 / p
-    radial *= scale
-    view *= radial[:, None]
+    gamma, unif, expo = (stream(seed, name, idx) for name in ("ball-gamma", "ball-unif", "ball-expo"))
+    rows = min(_ROWS, view.shape[0])
+    mag_buf, radial_buf = np.empty((rows, n)), np.empty(rows)
+    for lo in blocks:
+        block = view[lo : lo + _ROWS]
+        size = block.shape[0]
+        mag, radial = mag_buf[:size], radial_buf[:size]
+        gamma.standard_gamma(1.0 + 1.0 / p, out=mag)
+        mag **= 1.0 / p
+        unif.random(out=block)
+        block *= 2.0
+        block -= 1.0
+        block *= mag
+        np.abs(block, out=mag)
+        mag **= p
+        mag.sum(axis=1, out=radial)
+        radial += expo.standard_exponential(size)
+        radial **= -1.0 / p
+        radial *= scale
+        block *= radial[:, None]
 
 
 def sample_coordinate(body: BodySpec, count: int, seed: int) -> np.ndarray:
@@ -364,15 +422,18 @@ def sample_coordinate(body: BodySpec, count: int, seed: int) -> np.ndarray:
     p, n = body.p, body.n
     scale = normalization_scale(body)
     out = np.empty(count)
-    for idx, start, size in _chunk_ranges(count):
+
+    def fill(idx, start, size):
         view = out[start : start + size]
         if math.isinf(p):
             view[:] = scale * (2.0 * stream(seed, "cube-coord", idx).random(size) - 1.0)
-            continue
+            return
         g1 = stream(seed, "gamma-coord", idx).standard_gamma(1.0 / p, size)
         g2 = stream(seed, "gamma-rest", idx).standard_gamma((n - 1) / p + 1.0, size)
         signs = np.where(stream(seed, "sign-coord", idx).random(size) < 0.5, -1.0, 1.0)
         view[:] = scale * signs * (g1 / (g1 + g2)) ** (1.0 / p)
+
+    _map_chunks(count, fill)
     return out
 
 
@@ -433,9 +494,10 @@ def isotropy_report(body: BodySpec, samples: int, seed: int) -> IsotropyReport:
     n = body.n
     sum_x = np.zeros(n)
     sum_xx = np.zeros((n, n))
-    for _, view in _chunks(body, samples, seed):
-        sum_x += view.sum(axis=0)
-        sum_xx += view.T @ view
+    # per-chunk sums, added in chunk order
+    for chunk_x, chunk_xx in _map_points(body, samples, seed, lambda _, v: (v.sum(axis=0), v.T @ v)):
+        sum_x += chunk_x
+        sum_xx += chunk_xx
     center = sum_x / samples
     cov = sum_xx / samples
     diag = np.diag(cov).copy()

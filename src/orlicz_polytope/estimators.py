@@ -206,28 +206,36 @@ def expected_support_orlicz(
 def direction_support_profile(
     body: BodySpec,
     dirs: np.ndarray,
-    N: int,
+    N,
     seed: int = 0,
     proj_samples: int = DEFAULT_PROJ_SAMPLES,
 ) -> np.ndarray:
     """Orlicz estimates for each unit row of dirs: one exact inversion for
     p = 2, else the closed-form roots (empirical_roots) of the rows'
     projections of one cloud of proj_samples uniform points drawn from
-    seed, which holds 8 * proj_samples * n bytes (229 MiB at 10^6, n = 30)."""
+    seed, which holds 8 * proj_samples * n bytes (229 MiB at 10^6, n = 30).
+
+    N is one level or a sequence of them; a sequence gives one row of
+    estimates per N, all from the one cloud."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     norms = np.linalg.norm(dirs, axis=-1)
     if dirs.ndim != 2 or dirs.shape[1] != body.n or not np.all(np.abs(norms - 1.0) <= 1e-12):
         raise DomainError("direction rows must be unit vectors of length n (|norm - 1| <= 1e-12)")
+    levels = [int(level) for level in np.atleast_1d(N)]
+    out = np.empty((len(levels), dirs.shape[0]))
     if body.p == 2.0:
-        value = invert_for_support(from_tail(coordinate_marginal(body)), N)
-        return np.full(dirs.shape[0], value)
-    cloud = sample_uniform(body, proj_samples, seed)
-    out = np.empty(dirs.shape[0])
-    # each direction's projections fill one contiguous row: partitioning
-    # down the columns of cloud @ dirs.T instead took twice as long
-    for lo in range(0, dirs.shape[0], _SCAN_BLOCK):
-        out[lo : lo + _SCAN_BLOCK] = empirical_roots(dirs[lo : lo + _SCAN_BLOCK] @ cloud.T, N)
-    return out
+        M = from_tail(coordinate_marginal(body))
+        for row, level in zip(out, levels):
+            row[:] = invert_for_support(M, level)
+    else:
+        cloud = sample_uniform(body, proj_samples, seed)
+        # each direction's projections fill one contiguous row: partitioning
+        # down the columns of cloud @ dirs.T instead took twice as long
+        for lo in range(0, dirs.shape[0], _SCAN_BLOCK):
+            product = dirs[lo : lo + _SCAN_BLOCK] @ cloud.T
+            for row, level in zip(out, levels):
+                row[lo : lo + _SCAN_BLOCK] = empirical_roots(product, level)
+    return out if np.ndim(N) else out[0]
 
 
 def mean_width_orlicz(
@@ -247,27 +255,31 @@ def mean_width_orlicz(
 
 def mean_width_orlicz_report(
     body: BodySpec,
-    N: int,
+    N,
     n_dirs: int = 100,
     seed: int = 0,
     proj_samples: int = DEFAULT_PROJ_SAMPLES,
-) -> MCValue:
-    """Sphere average with the direction-sampling standard error attached.
+) -> MCValue | list[MCValue]:
+    """Sphere average with the direction-sampling standard error attached;
+    a sequence of N gives a list of them, from one draw of the directions
+    and the cloud.
 
     The stderr leaves out the projection error of the one cloud, which all
     directions share; that belongs to a per-estimate orlicz_stderr (ROADMAP)."""
+    levels = np.atleast_1d(N)
     if body.p == 2.0:
-        return MCValue(expected_support_orlicz(body, 0, N), 0.0, 1, seed)
-    if n_dirs < 100:
-        raise DomainError("mean_width_orlicz needs n_dirs >= 100")
-    dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "mw-dirs"))
-    values = direction_support_profile(body, dirs, N, derive_seed(seed, "mw-cloud"), proj_samples)
-    return MCValue(
-        value=float(values.mean()),
-        stderr=float(values.std(ddof=1) / math.sqrt(n_dirs)),
-        samples=n_dirs,
-        seed=seed,
-    )
+        M = from_tail(coordinate_marginal(body))
+        reports = [MCValue(invert_for_support(M, int(level)), 0.0, 1, seed) for level in levels]
+    else:
+        if n_dirs < 100:
+            raise DomainError("mean_width_orlicz needs n_dirs >= 100")
+        dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "mw-dirs"))
+        values = direction_support_profile(body, dirs, levels, derive_seed(seed, "mw-cloud"), proj_samples)
+        reports = [
+            MCValue(float(row.mean()), float(row.std(ddof=1) / math.sqrt(n_dirs)), n_dirs, seed)
+            for row in values
+        ]
+    return reports if np.ndim(N) else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -634,10 +646,10 @@ def run_mean_width_scan(
 ) -> ScanResult:
     """Mean-width law scan over N; fits est^2 vs log N."""
     _check_grid(N_grid)
-    estimates, oracles = [], []
-    for N in N_grid:
-        est = mean_width_orlicz(body, int(N), max(n_dirs, 100), seed, proj_samples)
-        estimates.append(est)
+    reports = mean_width_orlicz_report(body, list(N_grid), max(n_dirs, 100), seed, proj_samples)
+    estimates = [rep.value for rep in reports]
+    oracles = []
+    for N, est in zip(N_grid, estimates):
         if trials > 0:
             rep = mean_width_mc(body, int(N), trials, n_dirs, seed, threads, orlicz_value=est)
             oracles.append(rep.mc_mean)

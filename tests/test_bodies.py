@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orlicz_polytope import bodies
 from orlicz_polytope.bodies import (
     BodySpec,
     Direction,
@@ -26,6 +28,7 @@ from orlicz_polytope.bodies import (
     support_function,
 )
 from orlicz_polytope.errors import DomainError
+from orlicz_polytope.estimators import _parallel_map
 from orlicz_polytope.mathkit import Interval, QuadratureSpec, quad_adaptive
 
 INF = math.inf
@@ -223,6 +226,78 @@ class TestSamplers:
         c = stream(5, "x", 0).random(4)
         assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
+
+
+def _whole_chunk_fill(body, view, seed, idx):
+    """The chunk fill as one draw per stream for the whole chunk: the oracle
+    for the row-blocked, threaded samplers."""
+    p, n = body.p, body.n
+    scale = normalization_scale(body)
+    size = view.shape[0]
+    if math.isinf(p):
+        u = stream(seed, "cube", idx).random((size, n))
+        view[:] = scale * (2.0 * u - 1.0)
+        return
+    mag = stream(seed, "ball-gamma", idx).standard_gamma(1.0 + 1.0 / p, (size, n))
+    mag **= 1.0 / p
+    stream(seed, "ball-unif", idx).random(out=view)
+    view *= 2.0
+    view -= 1.0
+    view *= mag
+    np.abs(view, out=mag)
+    mag **= p
+    radial = mag.sum(axis=1)
+    radial += stream(seed, "ball-expo", idx).standard_exponential(size)
+    radial **= -1.0 / p
+    radial *= scale
+    view *= radial[:, None]
+
+
+def _whole_chunk_coordinate(body, count, seed):
+    p, n = body.p, body.n
+    scale = normalization_scale(body)
+    out = np.empty(count)
+    for idx, start, size in bodies._chunk_ranges(count):
+        view = out[start : start + size]
+        if math.isinf(p):
+            view[:] = scale * (2.0 * stream(seed, "cube-coord", idx).random(size) - 1.0)
+            continue
+        g1 = stream(seed, "gamma-coord", idx).standard_gamma(1.0 / p, size)
+        g2 = stream(seed, "gamma-rest", idx).standard_gamma((n - 1) / p + 1.0, size)
+        signs = np.where(stream(seed, "sign-coord", idx).random(size) < 0.5, -1.0, 1.0)
+        view[:] = scale * signs * (g1 / (g1 + g2)) ** (1.0 / p)
+    return out
+
+
+class TestChunkFills:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("count", [1, 4095, bodies._CHUNK, 2 * bodies._CHUNK + 17])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, INF])
+    def test_samplers_match_whole_chunk_streams(self, monkeypatch, p, count, threads):
+        monkeypatch.setattr(bodies, "_fill_threads", lambda chunks: threads)
+        body, seed = BodySpec(p, 5), 41
+        theta = Direction.from_vector([1.0, -2.0, 0.5, 3.0, -0.25])
+        chunks = [np.empty((size, 5)) for _, _, size in bodies._chunk_ranges(count)]
+        for (idx, _, _), chunk in zip(bodies._chunk_ranges(count), chunks):
+            _whole_chunk_fill(body, chunk, seed, idx)
+        assert np.array_equal(sample_uniform(body, count, seed), np.concatenate(chunks))
+        want = np.concatenate([np.einsum("ij,j->i", c, theta.coords) for c in chunks])
+        assert np.array_equal(project_uniform(body, theta, count, seed), want)
+        want = np.concatenate([np.linalg.norm(c, axis=1) for c in chunks])
+        assert np.array_equal(sample_norms(body, count, seed), want)
+        sum_x, sum_xx = np.zeros(5), np.zeros((5, 5))
+        for c in chunks:
+            sum_x += c.sum(axis=0)
+            sum_xx += c.T @ c
+        rep = isotropy_report(body, count, seed)
+        assert np.array_equal(rep.center, sum_x / count)
+        assert np.array_equal(rep.cov, sum_xx / count)
+        assert np.array_equal(sample_coordinate(body, count, seed), _whole_chunk_coordinate(body, count, seed))
+
+    def test_one_fill_thread_in_mc_workers(self):
+        chunks = 5
+        assert bodies._fill_threads(chunks) == min(len(os.sched_getaffinity(0)), chunks)
+        assert _parallel_map(bodies._fill_threads, [chunks, chunks], threads=2) == [1, 1]
 
 
 class TestKolmogorovSmirnov:

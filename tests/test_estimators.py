@@ -385,9 +385,17 @@ class TestSupportScan:
         for row, N in zip(scan.rows, grid):
             assert row.estimate == expected_support_orlicz(body, theta, N, proj_samples=10**4, seed=5)
 
-    def test_mean_width_scan_rows(self):
+    def test_mean_width_scan_rows(self, monkeypatch):
         body, grid = BodySpec(1.5, 6), (10, 100, 1000, 10**4)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sample_uniform(*args)
+
+        monkeypatch.setattr(estimators, "sample_uniform", counting)
         scan = run_mean_width_scan(body, grid, trials=0, seed=3, proj_samples=10**4)
+        assert len(calls) == 1  # one cloud for the whole grid
         for row, N in zip(scan.rows, grid):
             assert row.estimate == mean_width_orlicz(body, N, seed=3, proj_samples=10**4)
         assert all(a.estimate < b.estimate for a, b in zip(scan.rows, scan.rows[1:]))
