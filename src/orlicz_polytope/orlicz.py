@@ -13,7 +13,8 @@ which vanishes exactly on [0, 1/support_radius].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,6 +58,10 @@ __all__ = [
 # to extrapolate and raise RangeError instead.
 BRACKET_LIMIT = 1e6
 
+# Values of M that one Legendre dual remembers: the chord-slope bisections of
+# its evaluations all halve [grid_max, 2 grid_max] and so revisit the same t.
+_DUAL_MEMO = 1 << 16
+
 
 @dataclass(frozen=True)
 class OrliczFunction:
@@ -68,6 +73,11 @@ class OrliczFunction:
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
+
+
+def _check_t(t: float) -> None:
+    if not t >= 0:  # NaN included
+        raise DomainError("M is defined for t >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +290,19 @@ def from_power(exponent: float, coeff: float = 1.0) -> OrliczFunction:
     """M(t) = coeff * t^exponent (exponent >= 1, coeff > 0)."""
     if exponent < 1.0 or coeff <= 0:
         raise DomainError("power Orlicz functions need exponent >= 1 and coeff > 0")
-    return OrliczFunction(
-        eval=lambda t: coeff * float(t) ** exponent,
-        zero_threshold=0.0,
-        kind="power",
-    )
+
+    def ev(t: float) -> float:
+        _check_t(t)
+        return coeff * float(t) ** exponent
+
+    return OrliczFunction(eval=ev, zero_threshold=0.0, kind="power")
 
 
 def from_cube() -> OrliczFunction:
     """Coordinate tail integral of the volume-1 cube: t/4 + 1/t - 1 past 2."""
 
     def ev(t: float) -> float:
+        _check_t(t)
         if t <= 2.0:
             return 0.0
         return t / 4.0 + 1.0 / t - 1.0
@@ -322,6 +334,7 @@ def from_pball(
     radius = math.exp(-ball_volume_log(p, n) / n)
 
     def ev(t: float) -> float:
+        _check_t(t)
         if t * radius <= 1.0:
             return 0.0
         return fn(p, n, 1.0 / t, quad)
@@ -340,8 +353,7 @@ def from_tail(marginal: MarginalDensity, quad: QuadratureSpec = DEFAULT_QUAD) ->
     quad = quad.rel_only()
 
     def ev(t: float) -> float:
-        if t < 0:
-            raise DomainError("M is defined for t >= 0")
+        _check_t(t)
         if t * radius <= 1.0:
             return 0.0
         return quad_adaptive(
@@ -368,6 +380,7 @@ def from_empirical(projections: Sequence[float]) -> OrliczFunction:
     prefix = np.cumsum(v)  # prefix[k-1] = sum of k largest values
 
     def ev(t: float) -> float:
+        _check_t(t)
         if t <= thresholds[0]:
             return 0.0
         # the k atoms at or above 1/t: M(t) = sum (t v_i - 1) / total
@@ -419,20 +432,21 @@ def empirical_roots(atoms: np.ndarray, N: int) -> np.ndarray:
 
 def from_spherical(n: int, quad: QuadratureSpec = DEFAULT_QUAD) -> OrliczFunction:
     """Orlicz function of the first sphere coordinate in dimension n."""
-    return OrliczFunction(
-        eval=lambda t: m_spherical(n, t, quad),
-        zero_threshold=1.0,
-        kind="spherical",
-    )
+
+    def ev(t: float) -> float:
+        _check_t(t)
+        return m_spherical(n, t, quad)
+
+    return OrliczFunction(eval=ev, zero_threshold=1.0, kind="spherical")
 
 
 # ---------------------------------------------------------------------------
 # duals, norms, inversion
 
-def _convexity_check(M: OrliczFunction, grid_max: float, points: int = 33) -> None:
+def _convexity_check(m: Callable[[float], float], grid_max: float, points: int = 33) -> None:
     ts = np.linspace(0.0, grid_max, points)
-    vals = np.array([M.eval(float(t)) for t in ts])
-    mids = np.array([M.eval(float(t)) for t in 0.5 * (ts[:-1] + ts[1:])])
+    vals = np.array([m(float(t)) for t in ts])
+    mids = np.array([m(float(t)) for t in 0.5 * (ts[:-1] + ts[1:])])
     slack = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
     if np.any(mids > 0.5 * (vals[:-1] + vals[1:]) + slack):
         raise DomainError("input fails the midpoint convexity test")
@@ -441,48 +455,66 @@ def _convexity_check(M: OrliczFunction, grid_max: float, points: int = 33) -> No
 def legendre_dual(M: OrliczFunction, grid_max: float) -> OrliczFunction:
     """M*(x) = sup_{t in [0, grid_max]} (x t - M(t)).  The objective is concave,
     so bisection finds its maximiser where the chord slope of M over h reaches
-    x; on u = t + grid_max the relative stop is an absolute width, even at t = 0."""
-    if not grid_max > 0:
-        raise DomainError("grid_max must be positive")
-    _convexity_check(M, grid_max)
+    x; on u = t + grid_max the relative stop is an absolute width, even at t = 0.
+
+    Each dual reads M through its own least-recently-used memo of at most
+    _DUAL_MEMO values: the convexity test, the zero-threshold probes and every
+    bisection.  Bisections of different x revisit the same dyadic points of
+    [grid_max, 2 grid_max], so a dual of a dual stops repeating the inner
+    bisections.  M must therefore be pure, a deterministic function of t; the
+    dual's values are then exactly those of reading M afresh every time."""
+    if not (math.isfinite(grid_max) and grid_max > 0):
+        raise DomainError("grid_max must be positive and finite")
+    m = lru_cache(maxsize=_DUAL_MEMO)(M.eval)
+    _convexity_check(m, grid_max)
     h = 1e-9 * grid_max
 
     def ev(x: float) -> float:
-        if x < 0:
-            raise DomainError("dual Orlicz functions are defined for x >= 0")
+        if not (math.isfinite(x) and x >= 0):
+            raise DomainError("dual Orlicz functions are defined for finite x >= 0")
         lo, hi = bisect(  # over u = t + grid_max
-            lambda u: M.eval(u - grid_max + h) - M.eval(u - grid_max) >= x * h,
+            lambda u: m(u - grid_max + h) - m(u - grid_max) >= x * h,
             grid_max, 2.0 * grid_max, 1e-9,
         )
         t_star = 0.5 * (lo + hi) - grid_max
-        best = max(x * t - M.eval(t) for t in (0.0, t_star, grid_max))
+        best = max(x * t - m(t) for t in (0.0, t_star, grid_max))
         return max(best, 0.0)
 
     # the dual vanishes below the smallest slope of M
     probes = grid_max * np.logspace(-12.0, 0.0, 25)
-    slopes = [M.eval(float(t)) / float(t) for t in probes]
+    slopes = [m(float(t)) / float(t) for t in probes]
     return OrliczFunction(eval=ev, zero_threshold=float(min(slopes)), kind=M.kind)
 
 
 def dual_involution_error(M: OrliczFunction, ts: Sequence[float]) -> float:
     """max |M**(t) - M(t)| over ts, the double dual on [0, 20], scaled by
-    max(1, M(ts[-1])): a check of legendre_dual on slopes inside its window."""
+    max(1, M(ts[-1])): a check of legendre_dual on slopes inside its window.
+    M is read once per distinct t: the check and the inner dual share one memo,
+    since the dual's probes may land on points of ts."""
+    ts = [float(t) for t in ts]
+    if not ts:
+        raise DomainError("the involution check needs at least one point")
+    M = replace(M, eval=lru_cache(maxsize=_DUAL_MEMO)(M.eval))
     dd = legendre_dual(legendre_dual(M, 20.0), 20.0)
-    err = max(abs(dd.eval(float(t)) - M.eval(float(t))) for t in ts)
-    return err / max(M.eval(float(ts[-1])), 1.0)
+    err = max(abs(dd.eval(t) - M.eval(t)) for t in ts)
+    return err / max(M.eval(ts[-1]), 1.0)
 
 
 def luxemburg_norm(x: Sequence[float], M: OrliczFunction) -> float:
-    """inf{rho > 0 : sum_i M(|x_i| / rho) <= 1} by monotone bisection."""
+    """inf{rho > 0 : sum_i M(|x_i| / rho) <= 1} by monotone bisection.
+    M is read once per distinct nonzero |x_i|, weighted by its multiplicity,
+    so a constant vector of any length costs one read per step."""
     v = np.abs(np.asarray(x, dtype=float).ravel())
     if v.size == 0:
         raise DomainError("the norm of an empty vector is undefined")
     top = float(v.max())
     if top == 0.0:
         return 0.0
+    values, counts = np.unique(v[v > 0], return_counts=True)
+    weighted = list(zip(values.tolist(), counts.tolist()))
 
     def budget(rho: float) -> float:
-        return float(sum(M.eval(float(vi / rho)) for vi in v if vi > 0))
+        return float(sum(c * M.eval(a / rho) for a, c in weighted))
 
     lo = top / BRACKET_LIMIT
     hi = v.size * top * BRACKET_LIMIT

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orlicz_polytope import orlicz
 from orlicz_polytope.bodies import (
     BodySpec,
     Direction,
@@ -14,7 +15,7 @@ from orlicz_polytope.bodies import (
     sample_sphere,
 )
 from orlicz_polytope.errors import DomainError, EstimationError, RangeError
-from orlicz_polytope.mathkit import Interval, QuadratureSpec, quad_adaptive
+from orlicz_polytope.mathkit import Interval, QuadratureSpec, bisect, quad_adaptive
 from orlicz_polytope.orlicz import (
     OrliczFunction,
     dual_involution_error,
@@ -46,6 +47,49 @@ def cube_inversion_formula(N):
 
 def uniform_marginal():
     return coordinate_marginal(BodySpec(INF, 1))
+
+
+def counted(M, seen):
+    """M with every t it is evaluated at appended to seen."""
+
+    def ev(t):
+        seen.append(t)
+        return M.eval(t)
+
+    return OrliczFunction(ev, M.zero_threshold, M.kind)
+
+
+def uncached_dual(M, grid_max):
+    """legendre_dual as it read M before its memo: a fresh M.eval per read."""
+    h = 1e-9 * grid_max
+
+    def ev(x):
+        lo, hi = bisect(
+            lambda u: M.eval(u - grid_max + h) - M.eval(u - grid_max) >= x * h,
+            grid_max, 2.0 * grid_max, 1e-9,
+        )
+        t_star = 0.5 * (lo + hi) - grid_max
+        best = max(x * t - M.eval(t) for t in (0.0, t_star, grid_max))
+        return max(best, 0.0)
+
+    slopes = [M.eval(float(t)) / float(t) for t in grid_max * np.logspace(-12.0, 0.0, 25)]
+    return OrliczFunction(eval=ev, zero_threshold=float(min(slopes)), kind=M.kind)
+
+
+def uncached_involution_error(M, ts):
+    dd = uncached_dual(uncached_dual(M, 20.0), 20.0)
+    err = max(abs(dd.eval(float(t)) - M.eval(float(t))) for t in ts)
+    return err / max(M.eval(float(ts[-1])), 1.0)
+
+
+CONSTRUCTORS = {
+    "power": lambda: from_power(1.5),
+    "cube": from_cube,
+    "pball": lambda: from_pball(2.0, 5),
+    "tail": lambda: from_tail(coordinate_marginal(BodySpec(3.0, 10))),
+    "empirical": lambda: from_empirical([0.5, 1.0, 2.0]),
+    "spherical": lambda: from_spherical(5),
+}
 
 
 class TestTailIntegral:
@@ -312,6 +356,91 @@ class TestLegendre:
         with pytest.raises(DomainError):
             legendre_dual(bumpy, 10.0)
 
+    @pytest.mark.parametrize(
+        "M",
+        [from_power(1.5), from_power(2.0), from_power(3.0), from_pball(2.0, 5)],
+        ids=["power-1.5", "power-2", "power-3", "pball"],
+    )
+    def test_memo_is_bit_identical(self, M):
+        dual, oracle = legendre_dual(M, 20.0), uncached_dual(M, 20.0)
+        assert dual.zero_threshold == oracle.zero_threshold
+        for x in (0.0, 0.1, 0.3, 1.0, 1e3):
+            assert dual.eval(x) == oracle.eval(x)
+
+    @pytest.mark.parametrize(
+        "M, ts",
+        [
+            (from_power(1.5), np.linspace(0.05, 2.0, 8)),
+            (from_power(2.0), np.linspace(0.05, 2.0, 8)),
+            (from_power(3.0), np.linspace(0.05, 2.0, 8)),
+            (from_pball(2.0, 5), [0.05, 2.0]),  # the oracle reads M 10^4 times per point
+        ],
+        ids=["power-1.5", "power-2", "power-3", "pball"],
+    )
+    def test_involution_is_bit_identical(self, M, ts):
+        assert dual_involution_error(M, ts) == uncached_involution_error(M, ts)
+
+    def test_involution_reads_each_point_once(self):
+        # the bisections of both duals revisit the dyadic points of [20, 40];
+        # without the memo M was read 37 177 times at 4 363 distinct t
+        seen = []
+        dual_involution_error(counted(from_pball(2.0, 5), seen), np.linspace(0.05, 2.0, 8))
+        assert len(set(seen)) == len(seen)
+        assert len(seen) <= 4400
+
+    def test_each_dual_has_its_own_memo(self):
+        seen = []
+        M = counted(from_pball(2.0, 5), seen)
+        first, second = legendre_dual(M, 20.0), legendre_dual(M, 20.0)
+        del seen[:]
+        first.eval(0.1)
+        reads = len(seen)
+        assert reads > 0
+        first.eval(0.1)
+        assert len(seen) == reads  # a repeat is served from the memo
+        second.eval(0.1)
+        assert len(seen) == 2 * reads  # the second dual shares none of it
+
+    def test_memo_is_bounded(self, monkeypatch):
+        # a sequential re-read of more points than the memo holds misses on
+        # every point of a least-recently-used memo, so a bound of 8 entries
+        # re-reads all of them, with the same values
+        monkeypatch.setattr(orlicz, "_DUAL_MEMO", 8)
+        seen = []
+        M = from_pball(2.0, 5)
+        dual = legendre_dual(counted(M, seen), 20.0)
+        del seen[:]
+        first = dual.eval(0.1)
+        reads = len(seen)
+        assert reads > 8
+        assert dual.eval(0.1) == first == uncached_dual(M, 20.0).eval(0.1)
+        assert len(seen) == 2 * reads
+
+    @pytest.mark.parametrize("grid_max", [math.inf, -math.inf, math.nan, 0.0])
+    def test_rejects_nonfinite_window(self, grid_max):
+        with pytest.raises(DomainError):
+            legendre_dual(from_power(2.0), grid_max)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -1.0])
+    def test_dual_rejects_nonfinite_and_negative_x(self, x):
+        dual = legendre_dual(from_power(2.0), 20.0)
+        with pytest.raises(DomainError):
+            dual.eval(x)
+
+    def test_involution_rejects_empty_grid(self):
+        with pytest.raises(DomainError):
+            dual_involution_error(from_power(2.0), [])
+
+
+class TestDomain:
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan])
+    def test_negative_and_nan_t_refused(self, name, t):
+        M = CONSTRUCTORS[name]()
+        with pytest.raises(DomainError, match="M is defined for t >= 0"):
+            M.eval(t)
+        assert M.eval(0.0) == 0.0
+
 
 class TestLuxemburg:
     def test_examples(self):
@@ -320,11 +449,40 @@ class TestLuxemburg:
         assert luxemburg_norm(np.zeros(4), from_power(2.0)) == 0.0
 
     def test_all_ones_is_inversion(self):
-        M = from_pball(2.0, 5)
-        for N in (3, 17):
+        # the paper's estimate is the Orlicz norm of (1, ..., 1) in R^N;
+        # the production M is checked over the N range the estimator runs in
+        cases = [(from_pball(2.0, 5), 3), (from_pball(2.0, 5), 17)]
+        production = from_tail(coordinate_marginal(BodySpec(1.5, 30)))
+        cases += [(production, N) for N in (10**2, 10**3, 10**6)]
+        for M, N in cases:
             a = luxemburg_norm(np.ones(N), M)
             b = invert_for_support(M, N)
             assert a == pytest.approx(b, rel=1e-8)
+
+    def test_one_read_per_distinct_entry(self):
+        seen = []
+        rho = luxemburg_norm([3.0, -3.0, 4.0, 0.0, 4.0, 3.0], counted(from_power(2.0), seen))
+        assert rho == pytest.approx(math.sqrt(3 * 9.0 + 2 * 16.0), rel=1e-9)
+        # every budget reads M at 3/rho and 4/rho only, once each
+        assert len(seen) % 2 == 0
+        ratios = np.array(seen[1::2]) / np.array(seen[0::2])
+        assert np.allclose(ratios, 4.0 / 3.0, rtol=1e-12)
+        seen.clear()
+        luxemburg_norm(np.ones(10**4), counted(from_power(2.0), seen))
+        assert len(seen) <= 100  # one read per bisection step
+
+    def test_grouped_matches_entrywise_sum(self):
+        # the norm before grouping: M read once per entry at every step
+        def entrywise(x, M):
+            v = np.abs(np.asarray(x, dtype=float))
+            budget = lambda rho: float(sum(M.eval(float(vi / rho)) for vi in v if vi > 0))
+            top = float(v.max())
+            return bisect(lambda rho: budget(rho) <= 1.0, top / 1e6, v.size * top * 1e6, 1e-10)[1]
+
+        rng = np.random.default_rng(7)
+        x = rng.choice([-2.5, -0.5, 0.0, 0.75, 1.0, 3.0], size=40)
+        for M in (from_power(2.5), from_pball(2.0, 5)):
+            assert luxemburg_norm(x, M) == pytest.approx(entrywise(x, M), rel=1e-9)
 
     @settings(deadline=None, max_examples=25, derandomize=True)
     @given(
