@@ -8,7 +8,6 @@ from .bodies import (
     coordinate_marginal,
     isotropic_constant,
     isotropy_report,
-    marginal_coordinate,
     marginal_general,
     normalization_scale,
     sample_sphere,
@@ -33,7 +32,7 @@ from .estimators import (
     expected_support_orlicz,
     general_upper_bound,
     mean_width_mc,
-    mean_width_orlicz,
+    mean_width_orlicz_report,
     scaling_fit,
     solve_tilde_s,
     sphere_average_m,

@@ -23,14 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .mathkit import (
-    DEFAULT_QUAD,
-    Interval,
-    QuadratureSpec,
-    ball_volume_log,
-    quad_adaptive,
-    quad_cumulative,
-)
+from .mathkit import DEFAULT_QUAD, Interval, ball_volume_log, quad_adaptive, quad_cumulative
 
 __all__ = [
     "BodySpec",
@@ -41,7 +34,6 @@ __all__ = [
     "derive_seed",
     "normalization_scale",
     "support_function",
-    "marginal_coordinate",
     "coordinate_marginal",
     "marginal_general",
     "sample_uniform",
@@ -230,11 +222,6 @@ def coordinate_marginal(body: BodySpec) -> MarginalDensity:
         return float(out[0]) if tt.ndim == 0 else out
 
     return MarginalDensity(density=density, support_radius=radius, body=body)
-
-
-def marginal_coordinate(body: BodySpec, t) -> np.ndarray | float:
-    """Section volume |K ∩ {x_j = t}| of the normalized body, any axis j."""
-    return coordinate_marginal(body).density(t)
 
 
 def marginal_general(
@@ -461,7 +448,8 @@ def sample_sphere(n: int, count: int, seed: int) -> np.ndarray:
     if n < 1 or count < 1:
         raise DomainError("n and count must be positive")
     out = np.empty((count, n))
-    for idx, start, size in _chunk_ranges(count):
+
+    def fill(idx, start, size):
         g = stream(seed, "sphere", idx).standard_normal((size, n))
         norms = np.linalg.norm(g, axis=1)
         while np.any(norms == 0.0):  # pragma: no cover - probability zero
@@ -469,6 +457,8 @@ def sample_sphere(n: int, count: int, seed: int) -> np.ndarray:
             g[bad] = stream(seed, "sphere-retry", idx).standard_normal((int(bad.sum()), n))
             norms = np.linalg.norm(g, axis=1)
         out[start : start + size] = g / norms[:, None]
+
+    _map_chunks(count, fill)
     return out
 
 
@@ -511,7 +501,7 @@ def isotropy_report(body: BodySpec, samples: int, seed: int) -> IsotropyReport:
     )
 
 
-def isotropic_constant(body: BodySpec, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def isotropic_constant(body: BodySpec) -> float:
     """Exact L_K via the second moment of the coordinate marginal."""
     if math.isinf(body.p):
         return 1.0 / math.sqrt(12.0)
@@ -520,6 +510,6 @@ def isotropic_constant(body: BodySpec, quad: QuadratureSpec = DEFAULT_QUAD) -> f
     second = quad_adaptive(
         lambda t: 2.0 * t * t * density(t),
         Interval(0.0, radius),
-        quad,
+        DEFAULT_QUAD,
     )
     return math.sqrt(second)

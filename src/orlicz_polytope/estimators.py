@@ -35,14 +35,15 @@ from .bodies import (
     sample_sphere,
     sample_uniform,
 )
-from .errors import DomainError, HypothesisError, RangeError
-from .mathkit import bisect, quad_cumulative
+from .errors import DomainError, HypothesisError
+from .mathkit import bisect, bracket, quad_cumulative
 from .orlicz import (
     OrliczFunction,
     empirical_roots,
     from_empirical,
     from_tail,
     invert_for_support,
+    level_count,
     spherical_prefactor,
 )
 
@@ -57,7 +58,6 @@ __all__ = [
     "expected_support_orlicz",
     "expected_support_mc",
     "direction_support_profile",
-    "mean_width_orlicz",
     "mean_width_orlicz_report",
     "mean_width_mc",
     "sphere_average_m",
@@ -72,6 +72,10 @@ __all__ = [
 
 DEFAULT_PROJ_SAMPLES = 10**6
 _SCAN_BLOCK = 8  # directions projected per product in direction_support_profile
+_TILDE_S_REL_TOL = 1e-6  # relative width at which solve_tilde_s stops
+_TILDE_S_LIMIT = 1e9  # solve_tilde_s searches down to its largest norm / this
+_PROFILE_ALPHA = 4.0  # general_upper_bound's scale: h(0) (1 - alpha log N / n)
+_FD_STEP = 1e-5  # finite-difference step of the profile checks
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +92,7 @@ class PolytopeExperiment:
     seed: int = 0
 
     def __post_init__(self):
-        if self.N < 1:
-            raise DomainError("N must be positive")
+        object.__setattr__(self, "N", level_count(self.N))
         if self.mc_trials < 2:
             raise DomainError("mc_trials must be at least 2: one trial gives no confidence interval")
         if self.N < self.body.n:
@@ -221,7 +224,7 @@ def direction_support_profile(
     norms = np.linalg.norm(dirs, axis=-1)
     if dirs.ndim != 2 or dirs.shape[1] != body.n or not np.all(np.abs(norms - 1.0) <= 1e-12):
         raise DomainError("direction rows must be unit vectors of length n (|norm - 1| <= 1e-12)")
-    levels = [int(level) for level in np.atleast_1d(N)]
+    levels = [level_count(level) for level in np.atleast_1d(N)]
     out = np.empty((len(levels), dirs.shape[0]))
     if body.p == 2.0:
         M = from_tail(coordinate_marginal(body))
@@ -238,21 +241,6 @@ def direction_support_profile(
     return out if np.ndim(N) else out[0]
 
 
-def mean_width_orlicz(
-    body: BodySpec,
-    N: int,
-    n_dirs: int = 100,
-    seed: int = 0,
-    proj_samples: int = DEFAULT_PROJ_SAMPLES,
-) -> float:
-    """Sphere average of the Orlicz support estimate.
-
-    For p = 2 the estimate is direction-free, so a single inversion is
-    exact; otherwise n_dirs sampled directions are averaged.
-    """
-    return mean_width_orlicz_report(body, N, n_dirs, seed, proj_samples).value
-
-
 def mean_width_orlicz_report(
     body: BodySpec,
     N,
@@ -260,19 +248,22 @@ def mean_width_orlicz_report(
     seed: int = 0,
     proj_samples: int = DEFAULT_PROJ_SAMPLES,
 ) -> MCValue | list[MCValue]:
-    """Sphere average with the direction-sampling standard error attached;
-    a sequence of N gives a list of them, from one draw of the directions
-    and the cloud.
+    """Sphere average of the Orlicz support estimate, with the
+    direction-sampling standard error attached; a sequence of N gives a
+    list of them, from one draw of the directions and the cloud.
+
+    For p = 2 the estimate is direction-free, so a single inversion is
+    exact; otherwise n_dirs sampled directions are averaged.
 
     The stderr leaves out the projection error of the one cloud, which all
     directions share; that belongs to a per-estimate orlicz_stderr (ROADMAP)."""
     levels = np.atleast_1d(N)
     if body.p == 2.0:
         M = from_tail(coordinate_marginal(body))
-        reports = [MCValue(invert_for_support(M, int(level)), 0.0, 1, seed) for level in levels]
+        reports = [MCValue(invert_for_support(M, level), 0.0, 1, seed) for level in levels]
     else:
         if n_dirs < 100:
-            raise DomainError("mean_width_orlicz needs n_dirs >= 100")
+            raise DomainError("the Orlicz mean width needs n_dirs >= 100")
         dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "mw-dirs"))
         values = direction_support_profile(body, dirs, levels, derive_seed(seed, "mw-cloud"), proj_samples)
         reports = [
@@ -433,13 +424,7 @@ def sphere_average_m(body: BodySpec, s: float, samples: int, seed: int = 0) -> M
     )
 
 
-def solve_tilde_s(
-    body: BodySpec,
-    N: int,
-    samples: int,
-    seed: int = 0,
-    rel_tol: float = 1e-6,
-) -> float:
+def solve_tilde_s(body: BodySpec, N: int, samples: int, seed: int = 0) -> float:
     """Scale at which the sphere average of M(1/s) crosses 1/N.
 
     One frozen point cloud is reused for every bisection step, so the
@@ -450,23 +435,17 @@ def solve_tilde_s(
     norms = np.sort(sample_norms(body, samples, derive_seed(seed, "tilde-s")))
     level = 1.0 / N
 
-    def phi(s: float) -> float:
-        return float(_spherical_values(body.n, norms, s).mean())
+    def fits(s: float) -> bool:
+        return float(_spherical_values(body.n, norms, s).mean()) <= level
 
-    hi = float(norms[-1])
-    lo = hi / 2.0
-    while phi(lo) <= level:
-        lo /= 2.0
-        if lo < hi / 1e9:
-            raise RangeError("1/N is outside the attainable range of the sphere average")
-    lo, hi = bisect(lambda s: phi(s) <= level, lo, hi, rel_tol)
+    lo, hi = bisect(fits, *bracket(fits, float(norms[-1]), _TILDE_S_LIMIT), _TILDE_S_REL_TOL)
     return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
 # general profile-based upper bound
 
-def check_profile_hypotheses(marginal: MarginalDensity, fd_step: float = 1e-5) -> None:
+def check_profile_hypotheses(marginal: MarginalDensity) -> None:
     """Finite-difference checks on h = section^(1/(n-1)): h' < 0 on the
     interior and -h'/t nondecreasing.  Raises HypothesisError naming the
     failed hypothesis."""
@@ -474,7 +453,7 @@ def check_profile_hypotheses(marginal: MarginalDensity, fd_step: float = 1e-5) -
         raise DomainError("profile hypotheses need a body of dimension >= 2")
     n = marginal.body.n
     radius = marginal.support_radius
-    step = min(fd_step, 0.01 * radius)
+    step = min(_FD_STEP, 0.01 * radius)
 
     def h(t):
         return np.asarray(marginal.density(t), dtype=float) ** (1.0 / (n - 1))
@@ -488,25 +467,19 @@ def check_profile_hypotheses(marginal: MarginalDensity, fd_step: float = 1e-5) -
         raise HypothesisError("-h'/t nondecreasing")
 
 
-def general_upper_bound(
-    marginal: MarginalDensity,
-    N: int,
-    alpha: float = 4.0,
-    fd_step: float = 1e-5,
-) -> float:
-    """Upper-bound scale h^{-1}(h(0) * (1 - alpha log N / n)) for the
-    expected support function, valid under the profile hypotheses."""
+def general_upper_bound(marginal: MarginalDensity, N: int) -> float:
+    """Upper-bound scale h^{-1}(h(0) * (1 - alpha log N / n)), alpha =
+    _PROFILE_ALPHA, for the expected support function, valid under the
+    profile hypotheses."""
     if marginal.body is None:
         raise DomainError("the marginal must reference its body")
     n = marginal.body.n
     if N < 1:
         raise DomainError("N must be positive")
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
-    drop = alpha * math.log(N) / n
+    drop = _PROFILE_ALPHA * math.log(N) / n
     if drop >= 1.0:
-        raise DomainError("alpha * log(N) must stay below n")
-    check_profile_hypotheses(marginal, fd_step)
+        raise DomainError(f"{_PROFILE_ALPHA:g} log(N) must stay below n")
+    check_profile_hypotheses(marginal)
     radius = marginal.support_radius
 
     def h(t: float) -> float:
@@ -662,6 +635,8 @@ def run_mean_width_scan(
 def _check_grid(N_grid) -> None:
     if len(N_grid) < 4:
         raise DomainError("scans need an N-grid with at least 4 points")
+    for N in N_grid:
+        level_count(N)
     arr = np.asarray(N_grid)
     if np.any(np.diff(arr) <= 0):
         raise DomainError("the N-grid must be strictly increasing")

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, DegenerateParameterError, DomainError
+from .errors import AccuracyError, DegenerateParameterError, DomainError, RangeError
 
 __all__ = [
     "Interval",
@@ -34,6 +34,7 @@ __all__ = [
     "quad_cumulative",
     "sincos_recursion",
     "sincos_identity_sides",
+    "bracket",
     "bisect",
 ]
 
@@ -70,9 +71,10 @@ class QuadratureSpec:
         if self.max_depth < 1:
             raise DomainError("max_depth must be at least 1")
 
-    def tighter(self, factor: float = 10.0) -> "QuadratureSpec":
-        """Spec for the inner integral of a nested quadrature."""
-        return QuadratureSpec(self.rel_tol / factor, self.abs_tol / factor, self.max_depth)
+    def tighter(self) -> "QuadratureSpec":
+        """Spec for the inner integral of a nested quadrature: a tenth of
+        both tolerances."""
+        return QuadratureSpec(self.rel_tol / 10.0, self.abs_tol / 10.0, self.max_depth)
 
     def rel_only(self) -> "QuadratureSpec":
         """Drop the absolute floor; needed when integral values can be
@@ -186,6 +188,7 @@ _GW = np.zeros(15)
 _GW[1:14:2] = np.array(_WG[:-1] + [_WG[-1]] + list(reversed(_WG[:-1])))
 
 _MAX_PANELS = 20000
+_CUMULATIVE_CHUNK = 100_000  # panels per integrand call of quad_cumulative
 
 
 def _eval_panel(f: Callable, a: float, b: float):
@@ -331,7 +334,7 @@ def quad_batch(f: Callable, lo, hi, spec: QuadratureSpec = DEFAULT_QUAD) -> np.n
     return out
 
 
-def quad_cumulative(f: Callable, points: np.ndarray, chunk: int = 100_000) -> np.ndarray:
+def quad_cumulative(f: Callable, points: np.ndarray) -> np.ndarray:
     """Cumulative integrals of f from points[0] to each point.
 
     Applies one (non-adaptive) Gauss-Kronrod panel per consecutive pair, so
@@ -344,8 +347,8 @@ def quad_cumulative(f: Callable, points: np.ndarray, chunk: int = 100_000) -> np
     if np.any(np.diff(pts) < 0):
         raise DomainError("points must be sorted ascending")
     segs = np.empty(pts.size - 1)
-    for start in range(0, pts.size - 1, chunk):
-        stop = min(start + chunk, pts.size - 1)
+    for start in range(0, pts.size - 1, _CUMULATIVE_CHUNK):
+        stop = min(start + _CUMULATIVE_CHUNK, pts.size - 1)
         lo = pts[start:stop]
         hi = pts[start + 1 : stop + 1]
         mid = 0.5 * (lo + hi)[:, None]
@@ -361,6 +364,29 @@ def quad_cumulative(f: Callable, points: np.ndarray, chunk: int = 100_000) -> np
 
 # ---------------------------------------------------------------------------
 # monotone root bracketing
+
+def bracket(pred: Callable[[float], bool], ref: float, limit: float) -> tuple[float, float]:
+    """A bracket (lo, hi) of a monotone predicate, pred(lo) false and
+    pred(hi) true, for bisect: hi doubles up from ref while pred(hi) is
+    false, and lo is then the last hi that failed; if pred(ref) holds, hi
+    stays ref and lo halves down from ref / 2 while pred(lo) holds.  Raises
+    RangeError once hi passes ref * limit or lo passes below ref / limit."""
+    if not (math.isfinite(ref) and ref > 0 and limit > 1):
+        raise DomainError("a bracket needs a positive finite ref and a limit above 1")
+    span = f"[{ref / limit:g}, {ref * limit:g}]"
+    lo = hi = ref
+    while not pred(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > ref * limit:
+            raise RangeError(f"the crossing lies above the search range {span}")
+    if lo == hi:
+        lo = hi / 2.0
+        while pred(lo):
+            lo /= 2.0
+            if lo < ref / limit:
+                raise RangeError(f"the crossing lies below the search range {span}")
+    return lo, hi
+
 
 def bisect(pred: Callable[[float], bool], lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
     """Shrink a bracket of a monotone predicate: given pred(lo) false and

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from .errors import DomainError, EstimationError, RangeError
 from .mathkit import (
     DEFAULT_QUAD,
     Interval,
-    QuadratureSpec,
     ball_volume_log,
     ball_volume_ratio,
     bisect,
+    bracket,
     quad_adaptive,
     quad_batch,
 )
@@ -58,6 +58,18 @@ __all__ = [
 # to extrapolate and raise RangeError instead.
 BRACKET_LIMIT = 1e6
 
+# Relative widths at which the Luxemburg norm and the inversion stop.
+_NORM_REL_TOL = 1e-10
+_INVERT_REL_TOL = 1e-9
+
+# Quadrature of every M representation (no absolute floor: values can be
+# arbitrarily tiny), and of the inner integrals of the nested ones.
+_QUAD = DEFAULT_QUAD.rel_only()
+_INNER_QUAD = _QUAD.tighter()
+
+# Points of the log grid export_tabulation writes.
+_TABLE_POINTS = 257
+
 # Values of M that one Legendre dual remembers: the chord-slope bisections of
 # its evaluations all halve [grid_max, 2 grid_max] and so revisit the same t.
 _DUAL_MEMO = 1 << 16
@@ -83,24 +95,22 @@ def _check_t(t: float) -> None:
 # ---------------------------------------------------------------------------
 # tail-integral representations
 
-def m_from_tail(marginal: MarginalDensity, s: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def m_from_tail(marginal: MarginalDensity, s: float) -> float:
     """Tail-integral M(s): outer integral of the truncated first moment."""
     if s < 0:
         raise DomainError("M is defined for s >= 0")
     radius = marginal.support_radius
     if s * radius <= 1.0:
         return 0.0
-    quad = quad.rel_only()
-    inner = quad.tighter()
 
     def outer(t):  # truncated first moment E[|X|; |X| >= 1/t] at every node
         lo = np.minimum(1.0 / t, radius)
-        return quad_batch(lambda r: 2.0 * r * marginal.density(r), lo, radius, inner)
+        return quad_batch(lambda r: 2.0 * r * marginal.density(r), lo, radius, _INNER_QUAD)
 
-    return quad_adaptive(outer, Interval(1.0 / radius, s), quad)
+    return quad_adaptive(outer, Interval(1.0 / radius, s), _QUAD)
 
 
-def m_from_tail_alt(marginal: MarginalDensity, s: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def m_from_tail_alt(marginal: MarginalDensity, s: float) -> float:
     """Same M(s) through the survival-function representation.
 
     The defining form integrates (1/t) P(|X| >= 1/t) + int_{1/t} P(|X| >= u) du
@@ -113,12 +123,10 @@ def m_from_tail_alt(marginal: MarginalDensity, s: float, quad: QuadratureSpec = 
     radius = marginal.support_radius
     if s * radius <= 1.0:
         return 0.0
-    quad = quad.rel_only()
-    inner = quad.tighter()
 
     def survival(a):  # P(|X| >= a) at every node
         lo = np.minimum(a, radius)
-        return quad_batch(lambda r: 2.0 * marginal.density(r), lo, radius, inner)
+        return quad_batch(lambda r: 2.0 * marginal.density(r), lo, radius, _INNER_QUAD)
 
     def hazard(t):
         return survival(1.0 / t) / t
@@ -126,8 +134,8 @@ def m_from_tail_alt(marginal: MarginalDensity, s: float, quad: QuadratureSpec = 
     def excess(u):
         return survival(u) * (s - 1.0 / u)
 
-    term1 = quad_adaptive(hazard, Interval(1.0 / radius, s), quad)
-    term2 = quad_adaptive(excess, Interval(1.0 / s, radius), quad)
+    term1 = quad_adaptive(hazard, Interval(1.0 / radius, s), _QUAD)
+    term2 = quad_adaptive(excess, Interval(1.0 / s, radius), _QUAD)
     return term1 + term2
 
 
@@ -153,7 +161,7 @@ def _pball_setup(p: float, n: int, s: float):
     return radius, theta_max, ratio
 
 
-def _sin_cos_integral(a: float, b: float, theta_max: float, quad: QuadratureSpec) -> float:
+def _sin_cos_integral(a: float, b: float, theta_max: float) -> float:
     """int_0^theta_max sin^a / cos^b, evaluated in log space."""
 
     def f(theta):
@@ -161,19 +169,12 @@ def _sin_cos_integral(a: float, b: float, theta_max: float, quad: QuadratureSpec
         with np.errstate(divide="ignore"):
             return np.exp(a * np.log(np.sin(theta)) - b * np.log(np.cos(theta)))
 
-    return quad_adaptive(f, Interval(0.0, theta_max), quad)
+    return quad_adaptive(f, Interval(0.0, theta_max), _QUAD)
 
 
-def _double_radial(
-    p: float,
-    theta_max: float,
-    power: float,
-    m_exp: float,
-    quad: QuadratureSpec,
-) -> float:
+def _double_radial(p: float, theta_max: float, power: float, m_exp: float) -> float:
     """int_0^theta_max sin/cos^{1+2/p} * int_{cos^{2/p}}^1 u^power (1-u^p)^m_exp,
     the inner integral in log space."""
-    inner_quad = quad.tighter()
 
     def radial(u):  # quad_batch silences the floating-point warnings
         lu = np.log(u)
@@ -183,35 +184,34 @@ def _double_radial(
 
     def outer(theta):
         ct = np.cos(theta)
-        inner = quad_batch(radial, ct ** (2.0 / p), 1.0, inner_quad)
+        inner = quad_batch(radial, ct ** (2.0 / p), 1.0, _INNER_QUAD)
         return np.sin(theta) * ct ** (-(1.0 + 2.0 / p)) * inner
 
-    return quad_adaptive(outer, Interval(0.0, theta_max), quad)
+    return quad_adaptive(outer, Interval(0.0, theta_max), _QUAD)
 
 
-def m_pball_first(p: float, n: int, s: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def m_pball_first(p: float, n: int, s: float) -> float:
     """M(1/s) for the coordinate marginal of the normalized l_p ball,
     first closed-form representation (0 for s at or beyond the support)."""
     radius, theta_max, ratio = _pball_setup(p, n, s)
     if theta_max is None:
         return 0.0
-    quad = quad.rel_only()
     a1 = 2.0 * (n - 1) / p + 3.0
     b1 = 3.0 - 2.0 / p
     lead = 4.0 / (p * (n - 1.0 + p))
-    term_a = lead * ratio * _sin_cos_integral(a1, b1, theta_max, quad)
+    term_a = lead * ratio * _sin_cos_integral(a1, b1, theta_max)
     if p == 2.0:
         return term_a
     term_b = (
         lead
         * (2.0 - p)
         * ratio
-        * _double_radial(p, theta_max, 1.0 - p, (n - 1.0) / p + 1.0, quad)
+        * _double_radial(p, theta_max, 1.0 - p, (n - 1.0) / p + 1.0)
     )
     return term_a + term_b
 
 
-def m_pball_second(p: float, n: int, s: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def m_pball_second(p: float, n: int, s: float) -> float:
     """Same value as m_pball_first through the second representation,
     led by the fully closed term; for p = 1 only that term survives.
 
@@ -225,7 +225,6 @@ def m_pball_second(p: float, n: int, s: float, quad: QuadratureSpec = DEFAULT_QU
         raise DomainError(
             f"the second closed form is ill-conditioned for p > 2 below s/R = {CONSISTENCY_BAND[0]}"
         )
-    quad = quad.rel_only()
     x = (s / radius) ** p
     if x >= 1.0:
         return 0.0
@@ -242,19 +241,19 @@ def m_pball_second(p: float, n: int, s: float, quad: QuadratureSpec = DEFAULT_QU
     term2 = (
         -(12.0 * (p - 1.0) / (p * denom))
         * ratio
-        * _sin_cos_integral(a2, b2, theta_max, quad)
+        * _sin_cos_integral(a2, b2, theta_max)
     )
     if p == 2.0:
         return term1 + term2
     term3 = (
         -(8.0 * (2.0 - p) * (p - 1.0) / (p * denom))
         * ratio
-        * _double_radial(p, theta_max, 1.0 - 2.0 * p, (n - 1.0) / p + 2.0, quad)
+        * _double_radial(p, theta_max, 1.0 - 2.0 * p, (n - 1.0) / p + 2.0)
     )
     return term1 + term2 + term3
 
 
-def m_spherical(n: int, s: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def m_spherical(n: int, s: float) -> float:
     """Orlicz function of |<theta, e_1>| for theta uniform on S^{n-1}.
 
     Zero for s <= 1; otherwise (2 w_{n-1} / (n w_n)) times the integral of
@@ -266,7 +265,6 @@ def m_spherical(n: int, s: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
         raise DomainError("s must be nonnegative")
     if s <= 1.0:
         return 0.0
-    quad = quad.rel_only()
     const = spherical_prefactor(n)
     upper = math.acos(1.0 / s)
 
@@ -275,7 +273,7 @@ def m_spherical(n: int, s: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
         with np.errstate(divide="ignore"):
             return np.exp(n * np.log(np.sin(y)) - 2.0 * np.log(np.cos(y)))
 
-    return const * quad_adaptive(f, Interval(0.0, upper), quad)
+    return const * quad_adaptive(f, Interval(0.0, upper), _QUAD)
 
 
 def spherical_prefactor(n: int) -> float:
@@ -310,39 +308,29 @@ def from_cube() -> OrliczFunction:
     return OrliczFunction(eval=ev, zero_threshold=2.0, kind="tail-integral")
 
 
-def from_pball(
-    p: float,
-    n: int,
-    form: str = "auto",
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> OrliczFunction:
-    """Closed-form coordinate Orlicz function of the normalized l_p ball.
-
-    form "auto" picks the representation with the fewest quadratures for
-    the given p (pure closed form for p=1, single integral for p=2).
-    """
+def from_pball(p: float, n: int) -> OrliczFunction:
+    """Closed-form coordinate Orlicz function of the normalized l_p ball,
+    through the representation with the fewest quadratures for the given p:
+    the second (pure closed form for p = 1) below p = 2, else the first
+    (a single integral for p = 2)."""
     if math.isinf(p):
         return from_cube()
-    if form == "auto":
-        form = "second" if p < 2.0 else "first"
-    if form == "first":
-        fn, kind = m_pball_first, "pball-closed-form-1"
-    elif form == "second":
+    if p < 2.0:
         fn, kind = m_pball_second, "pball-closed-form-2"
     else:
-        raise DomainError(f"unknown representation {form!r}")
+        fn, kind = m_pball_first, "pball-closed-form-1"
     radius = math.exp(-ball_volume_log(p, n) / n)
 
     def ev(t: float) -> float:
         _check_t(t)
         if t * radius <= 1.0:
             return 0.0
-        return fn(p, n, 1.0 / t, quad)
+        return fn(p, n, 1.0 / t)
 
     return OrliczFunction(eval=ev, zero_threshold=1.0 / radius, kind=kind)
 
 
-def from_tail(marginal: MarginalDensity, quad: QuadratureSpec = DEFAULT_QUAD) -> OrliczFunction:
+def from_tail(marginal: MarginalDensity) -> OrliczFunction:
     """Tail-integral Orlicz function of a density-backed marginal.
 
     By Fubini the defining double integral is the stop-loss expectation
@@ -350,7 +338,6 @@ def from_tail(marginal: MarginalDensity, quad: QuadratureSpec = DEFAULT_QUAD) ->
     one quadrature evaluates.  Atoms go through from_empirical instead.
     """
     radius = marginal.support_radius
-    quad = quad.rel_only()
 
     def ev(t: float) -> float:
         _check_t(t)
@@ -359,7 +346,7 @@ def from_tail(marginal: MarginalDensity, quad: QuadratureSpec = DEFAULT_QUAD) ->
         return quad_adaptive(
             lambda r: 2.0 * np.asarray(marginal.density(r), dtype=float) * (t * r - 1.0),
             Interval(1.0 / t, radius),
-            quad,
+            _QUAD,
         )
 
     return OrliczFunction(eval=ev, zero_threshold=1.0 / radius, kind="tail-integral")
@@ -401,12 +388,13 @@ def empirical_roots(atoms: np.ndarray, N: int) -> np.ndarray:
     maximum.  Only the top L + 1 values of a row are partitioned out and
     sorted; L grows for the rows whose root needs more of them.
     """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
+    N = level_count(N)
     v = np.abs(np.atleast_2d(np.asarray(atoms, dtype=float)))
     rows, total = v.shape
     if total == 0:
         raise DomainError("empirical roots need at least one atom per row")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("atoms must be finite")
     roots = np.empty(rows)
     todo = np.arange(rows)
     # at N = 1e3 the root's k is about 10 K/N for l_p projections in
@@ -430,12 +418,12 @@ def empirical_roots(atoms: np.ndarray, N: int) -> np.ndarray:
     return roots
 
 
-def from_spherical(n: int, quad: QuadratureSpec = DEFAULT_QUAD) -> OrliczFunction:
+def from_spherical(n: int) -> OrliczFunction:
     """Orlicz function of the first sphere coordinate in dimension n."""
 
     def ev(t: float) -> float:
         _check_t(t)
-        return m_spherical(n, t, quad)
+        return m_spherical(n, t)
 
     return OrliczFunction(eval=ev, zero_threshold=1.0, kind="spherical")
 
@@ -500,58 +488,50 @@ def dual_involution_error(M: OrliczFunction, ts: Sequence[float]) -> float:
     return err / max(M.eval(ts[-1]), 1.0)
 
 
+def level_count(N) -> int:
+    """N as an int: the number of vertex pairs, so a positive integer (an
+    integral float such as 1e3 passes); DomainError otherwise."""
+    if not (N >= 1 and float(N).is_integer()):
+        raise DomainError(f"N must be a positive integer, got {N!r}")
+    return int(N)
+
+
+def _norm(weighted: list[tuple[float, int]], M: OrliczFunction, rel_tol: float) -> float:
+    """inf{rho > 0 : sum_k c_k M(a_k / rho) <= 1} over the pairs (a_k, c_k)
+    of positive value and multiplicity, M read once per pair and step.  The
+    bracket grows from the largest a_k over M's zero threshold, where every
+    term vanishes (from the largest a_k itself when M vanishes only at 0)."""
+    top = max(a for a, _ in weighted)
+
+    def fits(rho: float) -> bool:
+        return sum(c * M.eval(a / rho) for a, c in weighted) <= 1.0
+
+    ref = top / M.zero_threshold if M.zero_threshold > 0 else top
+    return bisect(fits, *bracket(fits, ref, BRACKET_LIMIT), rel_tol)[1]
+
+
 def luxemburg_norm(x: Sequence[float], M: OrliczFunction) -> float:
     """inf{rho > 0 : sum_i M(|x_i| / rho) <= 1} by monotone bisection.
     M is read once per distinct nonzero |x_i|, weighted by its multiplicity,
     so a constant vector of any length costs one read per step."""
-    v = np.abs(np.asarray(x, dtype=float).ravel())
-    if v.size == 0:
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size == 0:
         raise DomainError("the norm of an empty vector is undefined")
-    top = float(v.max())
-    if top == 0.0:
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        named = ", ".join(f"x[{i}] = {x[i]}" for i in bad[:3])
+        raise DomainError(f"the norm needs finite entries: {named}{', ...' if bad.size > 3 else ''}")
+    v = np.abs(x)
+    if not v.any():
         return 0.0
     values, counts = np.unique(v[v > 0], return_counts=True)
-    weighted = list(zip(values.tolist(), counts.tolist()))
-
-    def budget(rho: float) -> float:
-        return float(sum(c * M.eval(a / rho) for a, c in weighted))
-
-    lo = top / BRACKET_LIMIT
-    hi = v.size * top * BRACKET_LIMIT
-    if budget(lo) <= 1.0:
-        raise RangeError("Luxemburg norm below the bracketing range")
-    if budget(hi) > 1.0:
-        raise RangeError("Luxemburg norm above the bracketing range")
-    return bisect(lambda rho: budget(rho) <= 1.0, lo, hi, 1e-10)[1]
+    return _norm(list(zip(values.tolist(), counts.tolist())), M, _NORM_REL_TOL)
 
 
 def invert_for_support(M: OrliczFunction, N: int) -> float:
-    """inf{s > 0 : M(1/s) <= 1/N}, the support-function estimate at level N.
-
-    Exploits that s -> M(1/s) is nonincreasing; the bracket is found by
-    doubling away from the zero threshold.
-    """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
-    level = 1.0 / N
-    s_ref = 1.0 / M.zero_threshold if M.zero_threshold > 0 else 1.0
-
-    def phi(s: float) -> float:
-        return M.eval(1.0 / s)
-
-    hi = s_ref
-    doublings = 0
-    while phi(hi) > level:
-        hi *= 2.0
-        doublings += 1
-        if hi > s_ref * BRACKET_LIMIT:
-            raise RangeError("M(1/s) stays above 1/N within the bracketing range")
-    lo = hi / 2.0 if doublings else s_ref / 2.0
-    while phi(lo) <= level:
-        lo /= 2.0
-        if lo < s_ref / BRACKET_LIMIT:
-            raise RangeError("M(1/s) stays at or below 1/N within the bracketing range")
-    return bisect(lambda s: phi(s) <= level, lo, hi, 1e-9)[1]
+    """inf{s > 0 : M(1/s) <= 1/N}, the support-function estimate at level N:
+    the Luxemburg norm of (1, ..., 1) in R^N."""
+    return _norm([(1.0, level_count(N))], M, _INVERT_REL_TOL)
 
 
 # Fractions of the support radius used by the cross-representation checks.
@@ -586,20 +566,13 @@ def representation_spread(p: float, n: int, s_frac: float) -> float:
     return (hi - lo) / hi if hi > 0 else 0.0
 
 
-def export_tabulation(
-    M: OrliczFunction,
-    path,
-    t_min: Optional[float] = None,
-    t_max: Optional[float] = None,
-    points: int = 257,
-) -> None:
-    """CSV of (t, M(t)) on a log grid, 17 significant digits."""
+def export_tabulation(M: OrliczFunction, path) -> None:
+    """CSV of (t, M(t)) on a log grid of _TABLE_POINTS points from 0.9 a to
+    1e4 max(a, 1e-3), a the zero threshold (1e-3 if it is 0), 17 significant
+    digits."""
     anchor = M.zero_threshold if M.zero_threshold > 0 else 1e-3
-    lo = t_min if t_min is not None else 0.9 * anchor
-    hi = t_max if t_max is not None else 1e4 * max(anchor, 1e-3)
-    if not (0 < lo < hi):
-        raise DomainError("need 0 < t_min < t_max")
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), points))
+    lo, hi = 0.9 * anchor, 1e4 * max(anchor, 1e-3)
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), _TABLE_POINTS))
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("t,M\n")
         for t in grid:

@@ -12,10 +12,10 @@ from orlicz_polytope.bodies import (
     circumradius,
     contains,
     coordinate_ks,
+    coordinate_marginal,
     derive_seed,
     isotropic_constant,
     isotropy_report,
-    marginal_coordinate,
     marginal_general,
     marginal_ks,
     normalization_scale,
@@ -94,27 +94,27 @@ class TestScaleAndSupport:
 
 class TestMarginalCoordinate:
     def test_cube_marginal(self):
-        assert marginal_coordinate(BodySpec(INF, 5), 0.3) == 1.0
-        assert marginal_coordinate(BodySpec(INF, 5), 0.51) == 0.0
+        assert coordinate_marginal(BodySpec(INF, 5)).density(0.3) == 1.0
+        assert coordinate_marginal(BodySpec(INF, 5)).density(0.51) == 0.0
 
     def test_beyond_support_zero(self):
         for p in (1.0, 2.0, 4.0):
             body = BodySpec(p, 6)
-            assert marginal_coordinate(body, normalization_scale(body) * 1.0001) == 0.0
+            assert coordinate_marginal(body).density(normalization_scale(body) * 1.0001) == 0.0
 
     def test_ball_section_value(self):
         # section of D_2^3 at t=0: disk of radius = scale, area pi*scale^2
         body = BodySpec(2.0, 3)
         scale = normalization_scale(body)
         want = math.pi * scale**2
-        assert marginal_coordinate(body, 0.0) == pytest.approx(want, rel=1e-12)
+        assert coordinate_marginal(body).density(0.0) == pytest.approx(want, rel=1e-12)
         # cross-check by quadrature of the disk section width
         section = quad_adaptive(
             lambda x: 2.0 * np.sqrt(np.maximum(scale**2 - x**2, 0.0)),
             Interval(-scale, scale),
             QuadratureSpec(1e-10, 0.0, 60),
         )
-        assert marginal_coordinate(body, 0.0) == pytest.approx(section, rel=1e-9)
+        assert coordinate_marginal(body).density(0.0) == pytest.approx(section, rel=1e-9)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 6.0, INF])
     @pytest.mark.parametrize("n", [2, 10, 50, 200])
@@ -122,7 +122,7 @@ class TestMarginalCoordinate:
         body = BodySpec(p, n)
         radius = normalization_scale(body)
         total = quad_adaptive(
-            lambda t: np.asarray(marginal_coordinate(body, t)),
+            coordinate_marginal(body).density,
             Interval(0.0, radius),
             QuadratureSpec(1e-10, 0.0, 60),
         )
@@ -132,10 +132,10 @@ class TestMarginalCoordinate:
         body = BodySpec(3.0, 8)
         radius = normalization_scale(body)
         ts = np.linspace(0.0, radius, 50)
-        vals = np.asarray(marginal_coordinate(body, ts))
+        vals = np.asarray(coordinate_marginal(body).density(ts))
         assert np.all(np.diff(vals) <= 1e-12)
-        assert marginal_coordinate(body, -0.3 * radius) == pytest.approx(
-            marginal_coordinate(body, 0.3 * radius), rel=1e-14
+        assert coordinate_marginal(body).density(-0.3 * radius) == pytest.approx(
+            coordinate_marginal(body).density(0.3 * radius), rel=1e-14
         )
 
 
@@ -151,7 +151,7 @@ class TestMarginalGeneral:
         marg = marginal_general(body, Direction.canonical(2, 0), 10**6, 6)
         radius = normalization_scale(body)
         ts = np.linspace(-0.95 * radius, 0.95 * radius, 120)
-        diff = np.abs(np.asarray(marg.density(ts)) - np.asarray(marginal_coordinate(body, ts)))
+        diff = np.abs(np.asarray(marg.density(ts)) - np.asarray(coordinate_marginal(body).density(ts)))
         assert float(np.max(diff)) <= 0.05
 
     def test_support_radius_bounded(self):
@@ -293,6 +293,17 @@ class TestChunkFills:
         assert np.array_equal(rep.center, sum_x / count)
         assert np.array_equal(rep.cov, sum_xx / count)
         assert np.array_equal(sample_coordinate(body, count, seed), _whole_chunk_coordinate(body, count, seed))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sphere_matches_per_chunk_draws(self, monkeypatch, threads):
+        # the loop sample_sphere ran before its chunks went through _map_chunks
+        monkeypatch.setattr(bodies, "_fill_threads", lambda chunks: threads)
+        n, count, seed = 4, 2 * bodies._CHUNK + 17, 43
+        want = np.empty((count, n))
+        for idx, start, size in bodies._chunk_ranges(count):
+            g = stream(seed, "sphere", idx).standard_normal((size, n))
+            want[start : start + size] = g / np.linalg.norm(g, axis=1)[:, None]
+        assert np.array_equal(sample_sphere(n, count, seed), want)
 
     def test_one_fill_thread_in_mc_workers(self):
         chunks = 5

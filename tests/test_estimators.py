@@ -28,7 +28,7 @@ from orlicz_polytope.estimators import (
     expected_support_orlicz,
     general_upper_bound,
     mean_width_mc,
-    mean_width_orlicz,
+    mean_width_orlicz_report,
     run_mean_width_scan,
     run_support_scan,
     scaling_fit,
@@ -38,7 +38,13 @@ from orlicz_polytope.estimators import (
     _spherical_values,
     _support_trial,
 )
-from orlicz_polytope.orlicz import from_empirical, invert_for_support, m_pball_first, m_spherical
+from orlicz_polytope.orlicz import (
+    empirical_roots,
+    from_empirical,
+    invert_for_support,
+    m_pball_first,
+    m_spherical,
+)
 
 INF = math.inf
 
@@ -198,28 +204,27 @@ class TestExpectedSupportMC:
 class TestMeanWidth:
     def test_ball_equals_single_direction(self):
         body = BodySpec(2.0, 8)
-        assert mean_width_orlicz(body, 500) == expected_support_orlicz(body, 0, 500)
+        assert mean_width_orlicz_report(body, 500).value == expected_support_orlicz(body, 0, 500)
 
     def test_ball_sqrt_log_ratio(self):
         # doubling log N multiplies the mean width by about sqrt(log ratio)
         body = BodySpec(2.0, 30)
-        ratio = mean_width_orlicz(body, 10**5) / mean_width_orlicz(body, 10**2)
+        large = mean_width_orlicz_report(body, 10**5).value
+        ratio = large / mean_width_orlicz_report(body, 10**2).value
         assert ratio == pytest.approx(math.sqrt(5.0 / 2.0), rel=0.2)
 
     def test_average_between_extremes(self):
         body = BodySpec(INF, 2)
         dirs = sample_sphere(2, 100, derive_seed(12, "mw-dirs"))
         values = direction_support_profile(body, dirs, 50, seed=12, proj_samples=10**5)
-        avg = mean_width_orlicz(body, 50, n_dirs=100, seed=12, proj_samples=10**5)
+        avg = mean_width_orlicz_report(body, 50, n_dirs=100, seed=12, proj_samples=10**5).value
         assert values.min() <= avg <= values.max()
 
     def test_requires_enough_directions(self):
         with pytest.raises(DomainError):
-            mean_width_orlicz(BodySpec(1.0, 3), 100, n_dirs=10)
+            mean_width_orlicz_report(BodySpec(1.0, 3), 100, n_dirs=10)
 
     def test_direction_average_stderr_shrinks(self):
-        from orlicz_polytope.estimators import mean_width_orlicz_report
-
         body = BodySpec(INF, 2)
         small = mean_width_orlicz_report(body, 50, n_dirs=100, seed=1, proj_samples=3 * 10**4)
         large = mean_width_orlicz_report(body, 50, n_dirs=400, seed=1, proj_samples=3 * 10**4)
@@ -241,7 +246,7 @@ class TestMeanWidth:
         rep = mean_width_mc(body, 10**4, trials=200, n_dirs=64, seed=9)
         target = support_function(body, Direction.canonical(2, 0))
         assert rep.mc_mean == pytest.approx(target, rel=0.05)
-        est = mean_width_orlicz(body, 10**4)
+        est = mean_width_orlicz_report(body, 10**4).value
         assert 0.05 <= rep.mc_mean / est <= 20.0
 
 
@@ -304,13 +309,13 @@ class TestGeneralUpperBound:
     def test_flat_profile_rejected(self):
         marg = coordinate_marginal(BodySpec(INF, 10))
         with pytest.raises(HypothesisError) as err:
-            general_upper_bound(marg, 8, alpha=4.0)
+            general_upper_bound(marg, 8)
         assert "h'" in err.value.hypothesis
 
     def test_alpha_domain(self):
         marg = coordinate_marginal(BodySpec(3.0, 10))
         with pytest.raises(DomainError):
-            general_upper_bound(marg, 100, alpha=4.0)  # 4 log 100 > 10
+            general_upper_bound(marg, 100)  # 4 log 100 > 10
 
     def test_small_p_fails_monotonicity(self):
         marg = coordinate_marginal(BodySpec(1.2, 12))
@@ -320,7 +325,7 @@ class TestGeneralUpperBound:
     def test_tracks_mc_oracle(self):
         body = BodySpec(3.0, 50)
         marg = coordinate_marginal(body)
-        bound = general_upper_bound(marg, 1000, alpha=4.0)
+        bound = general_upper_bound(marg, 1000)
         rep = expected_support_mc(PolytopeExperiment(body, 1000, 0, mc_trials=40, seed=2))
         assert 0 < bound <= normalization_scale(body)
         # the theorem's inequality holds up to an absolute constant
@@ -367,6 +372,35 @@ class TestDirectionScan:
                 direction_support_profile(body, [row], 10, proj_samples=100)
         assert direction_support_profile(body, [[0.0, -1.0, 0.0]], 10, proj_samples=100).shape == (1,)
 
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_one_rule_for_N(self, p):
+        # a non-integral N is refused by every inversion and scan, not
+        # truncated to the level below (99.7 used to give the profile level
+        # 99); an integral float is the same level as the int
+        body = BodySpec(p, 3)
+        dirs = sample_sphere(3, 4, 1)
+        M = build_direction_orlicz(body, 0)
+        atoms = np.random.default_rng(2).normal(size=(2, 1000))
+        for N in (99.7, [100, 99.7], 0.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="N must be a positive integer"):
+                direction_support_profile(body, dirs, N, proj_samples=1000)
+            with pytest.raises(DomainError, match="N must be a positive integer"):
+                mean_width_orlicz_report(body, N, proj_samples=1000)
+        with pytest.raises(DomainError, match="N must be a positive integer"):
+            run_support_scan(body, 0, [99.7, 200, 300, 400], trials=0)
+        with pytest.raises(DomainError, match="N must be a positive integer"):
+            PolytopeExperiment(body, 99.7, 0, mc_trials=2)
+        assert PolytopeExperiment(body, 1e3, 0, mc_trials=2).N == 1000
+        for N in (99.7, 0.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="N must be a positive integer"):
+                invert_for_support(M, N)
+            with pytest.raises(DomainError, match="N must be a positive integer"):
+                empirical_roots(atoms, N)
+        profile = direction_support_profile(body, dirs, 1000, proj_samples=1000)
+        assert np.array_equal(direction_support_profile(body, dirs, 1e3, proj_samples=1000), profile)
+        assert invert_for_support(M, 1e3) == invert_for_support(M, 1000)
+        assert np.array_equal(empirical_roots(atoms, 1e3), empirical_roots(atoms, 1000))
+
 
 class TestSupportScan:
     def test_builds_orlicz_function_once(self, monkeypatch):
@@ -397,7 +431,7 @@ class TestSupportScan:
         scan = run_mean_width_scan(body, grid, trials=0, seed=3, proj_samples=10**4)
         assert len(calls) == 1  # one cloud for the whole grid
         for row, N in zip(scan.rows, grid):
-            assert row.estimate == mean_width_orlicz(body, N, seed=3, proj_samples=10**4)
+            assert row.estimate == mean_width_orlicz_report(body, N, seed=3, proj_samples=10**4).value
         assert all(a.estimate < b.estimate for a, b in zip(scan.rows, scan.rows[1:]))
 
 

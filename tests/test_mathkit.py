@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orlicz_polytope.errors import AccuracyError, DegenerateParameterError, DomainError
+from orlicz_polytope.errors import AccuracyError, DegenerateParameterError, DomainError, RangeError
 from orlicz_polytope.mathkit import (
     Interval,
     QuadratureSpec,
@@ -13,6 +13,7 @@ from orlicz_polytope.mathkit import (
     ball_volume_log,
     ball_volume_ratio,
     bisect,
+    bracket,
     log_gamma,
     quad_adaptive,
     quad_batch,
@@ -231,6 +232,40 @@ class TestBisect:
         lo, hi = bisect(lambda x: x >= 1.0 / 3.0, 0.0, 1.0, 0.0)
         assert hi == np.nextafter(lo, 1.0)
         assert lo < 1.0 / 3.0 <= hi
+
+
+class TestBracket:
+    def test_doubles_up_without_rereading(self):
+        seen = []
+        pred = lambda x: seen.append(x) or x >= 5.0
+        assert bracket(pred, 1.0, 1e6) == (4.0, 8.0)
+        assert seen == [1.0, 2.0, 4.0, 8.0]  # the last failing hi is lo, unread again
+
+    def test_halves_down_keeping_ref(self):
+        seen = []
+        pred = lambda x: seen.append(x) or x >= 0.3
+        assert bracket(pred, 1.0, 1e6) == (0.25, 1.0)
+        assert seen == [1.0, 0.5, 0.25]
+
+    def test_root_at_ref(self):
+        assert bracket(lambda x: x >= 3.0, 3.0, 10.0) == (1.5, 3.0)
+
+    def test_range_errors(self):
+        with pytest.raises(RangeError, match=r"above the search range \[0.001, 1000\]"):
+            bracket(lambda x: False, 1.0, 1e3)
+        with pytest.raises(RangeError, match=r"below the search range \[0.001, 1000\]"):
+            bracket(lambda x: True, 1.0, 1e3)
+        # at limit 1e3 the last points read are 2^9 and 2^-9
+        seen = []
+        with pytest.raises(RangeError):
+            bracket(lambda x: seen.append(x) or x >= 600.0, 1.0, 1e3)
+        assert max(seen) == 512.0
+        assert bracket(lambda x: x >= 500.0, 1.0, 1e3) == (256.0, 512.0)
+
+    @pytest.mark.parametrize("ref, limit", [(0.0, 10.0), (-1.0, 10.0), (math.inf, 10.0), (math.nan, 10.0), (1.0, 1.0)])
+    def test_refuses_bad_ref_and_limit(self, ref, limit):
+        with pytest.raises(DomainError):
+            bracket(lambda x: x >= 1.0, ref, limit)
 
 
 class TestSinCosRecursion:

@@ -183,8 +183,6 @@ class TestClosedForms:
         s = frac * normalization_scale(BodySpec(6.0, n))
         with pytest.raises(DomainError):
             m_pball_second(6.0, n, s)
-        with pytest.raises(DomainError):
-            from_pball(6.0, n, form="second").eval(1.0 / s)
 
     @pytest.mark.parametrize("n", [3, 12])
     def test_p1_explicit_formula(self, n):
@@ -319,6 +317,15 @@ class TestEmpiricalRoots:
             empirical_roots(np.ones((2, 10)), 0)
         with pytest.raises(DomainError):
             empirical_roots([], 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_atoms_refused(self, bad):
+        # a NaN atom would widen the top atoms forever (below <= best never
+        # holds), and an infinite one would give an infinite root
+        row = np.random.default_rng(3).normal(size=1000)
+        row[417] = bad
+        with pytest.raises(DomainError, match="atoms must be finite"):
+            empirical_roots(np.vstack([np.ones(1000), row]), 100)
 
 
 class TestLegendre:
@@ -471,6 +478,26 @@ class TestLuxemburg:
         luxemburg_norm(np.ones(10**4), counted(from_power(2.0), seen))
         assert len(seen) <= 100  # one read per bisection step
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_entries_refused(self, bad):
+        seen = []
+        with pytest.raises(DomainError, match=rf"finite entries: x\[2\] = {bad}$"):
+            luxemburg_norm([1.0, -2.0, bad, 3.0], counted(from_power(2.0), seen))
+        assert seen == []  # refused before M is read
+
+    def test_range_error_above(self):
+        stuck = OrliczFunction(eval=lambda t: 1e9 if t > 0 else 0.0, zero_threshold=0.0, kind="power")
+        with pytest.raises(RangeError, match="above the search range"):
+            luxemburg_norm([1.0, 2.0], stuck)
+
+    def test_range_error_below(self):
+        # M saturates at 1e-3: every rho fits the budget
+        capped = OrliczFunction(
+            eval=lambda t: min(t - 1.0, 1e-3) if t > 1.0 else 0.0, zero_threshold=1.0, kind="power"
+        )
+        with pytest.raises(RangeError, match="below the search range"):
+            luxemburg_norm([1.0, 2.0], capped)
+
     def test_grouped_matches_entrywise_sum(self):
         # the norm before grouping: M read once per entry at every step
         def entrywise(x, M):
@@ -520,7 +547,7 @@ class TestInversion:
 
     def test_range_error(self):
         stuck = OrliczFunction(eval=lambda t: 1e9 if t > 0 else 0.0, zero_threshold=0.0, kind="power")
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match="above the search range"):
             invert_for_support(stuck, 2)
 
     def test_range_error_when_level_never_reached(self):
@@ -528,7 +555,7 @@ class TestInversion:
         capped = OrliczFunction(
             eval=lambda t: min(t - 1.0, 1e-3) if t > 1.0 else 0.0, zero_threshold=1.0, kind="power"
         )
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match="below the search range"):
             invert_for_support(capped, 10)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -549,10 +576,10 @@ class TestInversion:
 class TestTabulation:
     def test_export(self, tmp_path):
         path = tmp_path / "m.csv"
-        export_tabulation(from_cube(), path, points=33)
+        export_tabulation(from_cube(), path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,M"
-        assert len(lines) == 34
+        assert len(lines) == 258
         t, m = (float(v) for v in lines[-1].split(","))
         assert m == pytest.approx(from_cube().eval(t), rel=1e-15)
 
