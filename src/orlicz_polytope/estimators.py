@@ -13,7 +13,11 @@ are reduced in a fixed order.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import multiprocessing
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -23,9 +27,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bodies import (
+    _ROWS,
     BodySpec,
     Direction,
     MarginalDensity,
+    _map_points,
     coordinate_marginal,
     derive_seed,
     isotropic_constant,
@@ -76,6 +82,14 @@ _TILDE_S_REL_TOL = 1e-6  # relative width at which solve_tilde_s stops
 _TILDE_S_LIMIT = 1e9  # solve_tilde_s searches down to its largest norm / this
 _PROFILE_ALPHA = 4.0  # general_upper_bound's scale: h(0) (1 - alpha log N / n)
 _FD_STEP = 1e-5  # finite-difference step of the profile checks
+# thread setters of numpy's and scipy's bundled OpenBLAS builds and of a
+# plain one, with and without the 64-bit-integer suffix
+_BLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +303,52 @@ def _support_trial(args) -> float:
     return float(np.max(np.abs(proj)))
 
 
+@functools.cache
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS loaded in this process to one thread, once.
+
+    Called from the mean-width trial inside MC pool workers, which already
+    have a core each: there a 4096 x 30 by 30 x 100 product took 8 ms on two
+    BLAS threads and 1 ms on one.  numpy and scipy each bundle an OpenBLAS,
+    so every one mapped into the process is set.  Does nothing where none
+    is found."""
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split() for line in maps]
+    except OSError:
+        return
+    paths = sorted({f[5] for f in fields if len(f) >= 6 and "openblas" in os.path.basename(f[5])})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
 def _mean_width_trial(args) -> float:
     p, n, normalized, N, n_dirs, seed, trial = args
-    body = BodySpec(p, n, normalized)
-    pts = sample_uniform(body, N, derive_seed(seed, "mw-pts", trial))
+    if multiprocessing.parent_process() is not None:
+        _one_blas_thread()
     dirs = sample_sphere(n, n_dirs, derive_seed(seed, "mw-dirs", trial))
-    supports = np.zeros(n_dirs)
-    step = max(1, (1 << 22) // max(n_dirs, 1))
-    for lo in range(0, N, step):
-        block = np.abs(pts[lo : lo + step] @ dirs.T).max(axis=0)
-        np.maximum(supports, block, out=supports)
-    return float(supports.mean())
+
+    def extremes(start, view):
+        # max |<x, theta>| = max(max, -min): no abs copy of the product
+        top, bottom = np.full(n_dirs, -np.inf), np.full(n_dirs, np.inf)
+        for lo in range(0, view.shape[0], _ROWS):
+            product = view[lo : lo + _ROWS] @ dirs.T
+            np.maximum(top, product.max(axis=0), out=top)
+            np.minimum(bottom, product.min(axis=0), out=bottom)
+        return top, bottom
+
+    body = BodySpec(p, n, normalized)
+    tops, bottoms = zip(*_map_points(body, N, derive_seed(seed, "mw-pts", trial), extremes))
+    return float(np.maximum(np.max(tops, axis=0), -np.min(bottoms, axis=0)).mean())
 
 
 def _parallel_map(fn, items, threads: int) -> list:
@@ -359,10 +408,12 @@ def mean_width_mc(
     orlicz_value: Optional[float] = None,
 ) -> EstimateReport:
     """Monte Carlo mean width: fresh sphere directions per polytope draw."""
+    N = level_count(N)
     if trials < 2:
         raise DomainError("trials must be at least 2: one trial gives no confidence interval")
-    if n_dirs < 1:
-        raise DomainError("n_dirs must be positive")
+    if not (n_dirs >= 1 and float(n_dirs).is_integer()):
+        raise DomainError(f"n_dirs must be a positive integer, got {n_dirs!r}")
+    n_dirs = int(n_dirs)
     t0 = time.perf_counter()
     args = [(body.p, body.n, body.normalized, N, n_dirs, seed, t) for t in range(trials)]
     values = _parallel_map(_mean_width_trial, args, threads)

@@ -238,15 +238,20 @@ def _whole_chunk_fill(body, view, seed, idx):
         u = stream(seed, "cube", idx).random((size, n))
         view[:] = scale * (2.0 * u - 1.0)
         return
-    mag = stream(seed, "ball-gamma", idx).standard_gamma(1.0 + 1.0 / p, (size, n))
-    mag **= 1.0 / p
-    stream(seed, "ball-unif", idx).random(out=view)
-    view *= 2.0
-    view -= 1.0
-    view *= mag
-    np.abs(view, out=mag)
-    mag **= p
-    radial = mag.sum(axis=1)
+    if p == 2.0:
+        stream(seed, "ball-normal", idx).standard_normal(out=view)
+        view *= math.sqrt(0.5)
+        radial = np.einsum("ij,ij->i", view, view)
+    else:
+        mag = stream(seed, "ball-gamma", idx).standard_gamma(1.0 + 1.0 / p, (size, n))
+        mag **= 1.0 / p
+        stream(seed, "ball-unif", idx).random(out=view)
+        view *= 2.0
+        view -= 1.0
+        view *= mag
+        np.abs(view, out=mag)
+        mag **= p
+        radial = mag.sum(axis=1)
     radial += stream(seed, "ball-expo", idx).standard_exponential(size)
     radial **= -1.0 / p
     radial *= scale
@@ -343,6 +348,19 @@ class TestKolmogorovSmirnov:
         emp = np.arange(1, m + 1) / m
         ks = float(np.max(np.maximum(emp - u, u - (emp - 1.0 / m))))
         assert ks <= 2.0 * 1.63 / math.sqrt(m)
+
+
+    @pytest.mark.parametrize("n", [2, 30])
+    def test_normal_fill_exact_laws(self, n):
+        # the p = 2 points drawn from normals: ||X||_2 / R has CDF r^n, and
+        # their first coordinate has the exact coordinate marginal
+        m = 20000
+        body = BodySpec(2.0, n)
+        radii = sample_norms(body, m, derive_seed(17, "ks-normal-norms", n)) / normalization_scale(body)
+        u = np.sort(radii) ** n
+        emp = np.arange(1, m + 1) / m
+        assert float(np.max(np.maximum(emp - u, u - (emp - 1.0 / m)))) <= 2.0 * 1.63 / math.sqrt(m)
+        assert coordinate_ks(body, m, derive_seed(17, "ks-normal-coord", n)) <= 2.0 * 1.63 / math.sqrt(m)
 
 
 class TestIsotropy:

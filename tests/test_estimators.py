@@ -1,4 +1,6 @@
+import ctypes
 import math
+import os
 
 import numpy as np
 import pytest
@@ -47,6 +49,50 @@ from orlicz_polytope.orlicz import (
 )
 
 INF = math.inf
+
+
+def _held_cloud_trial(args):
+    """The mean-width trial as it was before it streamed its points: the
+    whole cloud held, then the abs-max of its products with the directions."""
+    p, n, normalized, N, n_dirs, seed, trial = args
+    pts = sample_uniform(BodySpec(p, n, normalized), N, derive_seed(seed, "mw-pts", trial))
+    dirs = sample_sphere(n, n_dirs, derive_seed(seed, "mw-dirs", trial))
+    supports = np.zeros(n_dirs)
+    step = max(1, (1 << 22) // max(n_dirs, 1))
+    for lo in range(0, N, step):
+        np.maximum(supports, np.abs(pts[lo : lo + step] @ dirs.T).max(axis=0), out=supports)
+    return float(supports.mean())
+
+
+def _openblas_libs(kind):
+    """(library, function) for every OpenBLAS mapped into this process that
+    exports a thread-count function of the kind "get" or "set"."""
+    if not os.path.exists("/proc/self/maps"):
+        return []
+    with open("/proc/self/maps") as maps:
+        fields = [line.split() for line in maps]
+    paths = sorted({f[5] for f in fields if len(f) >= 6 and "openblas" in os.path.basename(f[5])})
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in (f"{pre}openblas_{kind}_num_threads{suf}" for pre in ("scipy_", "") for suf in ("64_", "")):
+            if hasattr(lib, name):
+                found.append((path, getattr(lib, name)))
+                break
+    return found
+
+
+def _blas_threads_after(args):
+    """In a pool worker: two threads on every OpenBLAS, then the trial
+    args[0] on args[1]; the thread count each library reads back, and
+    whether the one-thread helper ran."""
+    for _, setter in _openblas_libs("set"):
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(2)
+    trial, trial_args = args
+    trial(trial_args)
+    counts = [getter() for _, getter in _openblas_libs("get")]
+    return counts, estimators._one_blas_thread.cache_info().currsize
 
 
 def cube_inversion_formula(N):
@@ -239,6 +285,45 @@ class TestMeanWidth:
             small = _mean_width_trial((2.0, 2, True, 100, 64, 5, trial))
             large = _mean_width_trial((2.0, 2, True, 300, 64, 5, trial))
             assert large >= small
+
+    @pytest.mark.parametrize("p", [1.5, INF])
+    def test_streamed_trial_matches_held_cloud(self, p):
+        # max and min per direction give the abs-max exactly
+        args = (p, 30, True, 2 * (1 << 16) + 17, 100, 5, 3)
+        assert _mean_width_trial(args) == _held_cloud_trial(args)
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_thread_invariance(self, p):
+        body = BodySpec(p, 6)
+        # two chunks per trial: two fill threads in this process, one in a worker
+        serial = mean_width_mc(body, 70000, trials=5, n_dirs=16, seed=8, threads=1)
+        for threads in (2, 3):
+            rep = mean_width_mc(body, 70000, trials=5, n_dirs=16, seed=8, threads=threads)
+            assert (rep.mc_mean, rep.mc_ci95) == (serial.mc_mean, serial.mc_ci95)
+
+    def test_one_blas_thread_in_trial_workers(self):
+        if not _openblas_libs("get"):
+            pytest.skip("no OpenBLAS with a thread-count getter is loaded")
+        mw = (_mean_width_trial, (2.0, 30, True, 5000, 32, 1, 0))
+        sup = (_support_trial, (1.5, 30, True, 5000, np.full(30, 1.0 / math.sqrt(30)), 1, 0))
+        # one pool per trial kind, so no worker runs both
+        for counts, calls in estimators._parallel_map(_blas_threads_after, [mw, mw], 2):
+            assert counts and set(counts) == {1} and calls == 1
+        # the support trial uses no BLAS and leaves the helper alone
+        for counts, calls in estimators._parallel_map(_blas_threads_after, [sup, sup], 2):
+            assert set(counts) == {2} and calls == 0
+
+    def test_level_and_direction_counts(self):
+        body = BodySpec(2.0, 3)
+        want = mean_width_mc(body, 1000, 2, 4)
+        got = mean_width_mc(body, 1e3, 2, 4.0)
+        assert (got.mc_mean, got.meta["N"], got.meta["n_dirs"]) == (want.mc_mean, 1000, 4)
+        for N in (2.5, math.nan, 0):
+            with pytest.raises(DomainError, match="N must be a positive integer"):
+                mean_width_mc(body, N, 2, 4)
+        for n_dirs in (2.5, math.nan, 0):
+            with pytest.raises(DomainError, match="n_dirs must be a positive integer"):
+                mean_width_mc(body, 100, 2, n_dirs)
 
     def test_disk_saturation(self):
         # N = 1e4 points nearly fill the disk
