@@ -387,16 +387,18 @@ def _fill_chunk(body: BodySpec, view: np.ndarray, seed: int, idx: int) -> None:
         gamma, unif = stream(seed, "ball-gamma", idx), stream(seed, "ball-unif", idx)
     expo = stream(seed, "ball-expo", idx)
     rows = min(_ROWS, view.shape[0])
-    mag_buf, radial_buf = np.empty((rows, n)), np.empty(rows)
+    mag_buf = None if p == 2.0 else np.empty((rows, n))
+    radial_buf = np.empty(rows)
     for lo in blocks:
         block = view[lo : lo + _ROWS]
         size = block.shape[0]
-        mag, radial = mag_buf[:size], radial_buf[:size]
+        radial = radial_buf[:size]
         if p == 2.0:
             normal.standard_normal(out=block)
             block *= math.sqrt(0.5)
             np.einsum("ij,ij->i", block, block, out=radial)
         else:
+            mag = mag_buf[:size]
             gamma.standard_gamma(1.0 + 1.0 / p, out=mag)
             mag **= 1.0 / p
             unif.random(out=block)

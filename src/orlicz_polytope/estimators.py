@@ -13,10 +13,10 @@ are reduced in a fixed order.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
-import multiprocessing
 import os
 import time
 import warnings
@@ -82,14 +82,9 @@ _TILDE_S_REL_TOL = 1e-6  # relative width at which solve_tilde_s stops
 _TILDE_S_LIMIT = 1e9  # solve_tilde_s searches down to its largest norm / this
 _PROFILE_ALPHA = 4.0  # general_upper_bound's scale: h(0) (1 - alpha log N / n)
 _FD_STEP = 1e-5  # finite-difference step of the profile checks
-# thread setters of numpy's and scipy's bundled OpenBLAS builds and of a
-# plain one, with and without the 64-bit-integer suffix
-_BLAS_SET_THREADS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
+# thread-count symbol suffixes of the OpenBLAS builds numpy (64-bit
+# integers) and scipy bundle
+_BLAS_SUFFIXES = ("64_", "")
 
 
 # ---------------------------------------------------------------------------
@@ -304,37 +299,54 @@ def _support_trial(args) -> float:
 
 
 @functools.cache
-def _one_blas_thread() -> None:
-    """Set every OpenBLAS loaded in this process to one thread, once.
-
-    Called from the mean-width trial inside MC pool workers, which already
-    have a core each: there a 4096 x 30 by 30 x 100 product took 8 ms on two
-    BLAS threads and 1 ms on one.  numpy and scipy each bundle an OpenBLAS,
-    so every one mapped into the process is set.  Does nothing where none
-    is found."""
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every bundled OpenBLAS mapped
+    into this process, looked up once per process; empty where none is
+    found.  numpy's library is mapped once this module is imported, so the
+    lookup always holds the one the mean-width products run on."""
     try:
         with open("/proc/self/maps") as maps:
             fields = [line.split() for line in maps]
     except OSError:
-        return
-    paths = sorted({f[5] for f in fields if len(f) >= 6 and "openblas" in os.path.basename(f[5])})
-    for path in paths:
+        return ()
+    controls = []
+    for path in sorted({f[5] for f in fields if len(f) >= 6 and "openblas" in os.path.basename(f[5])}):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _BLAS_SET_THREADS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
+        for suffix in _BLAS_SUFFIXES:
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
+                controls.append((getter, setter))
                 break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every OpenBLAS of _blas_thread_controls at one thread inside the
+    block, at its own count again after it.
+
+    The mean-width trial's products run on chunks that already have a core
+    each (the chunk fill threads, or the MC pool workers): a 4096 x 30 by
+    30 x 100 product took 8 ms on two BLAS threads and 1 ms on one."""
+    controls = _blas_thread_controls()
+    saved = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (_, setter), count in zip(controls, saved):
+            setter(count)
 
 
 def _mean_width_trial(args) -> float:
     p, n, normalized, N, n_dirs, seed, trial = args
-    if multiprocessing.parent_process() is not None:
-        _one_blas_thread()
     dirs = sample_sphere(n, n_dirs, derive_seed(seed, "mw-dirs", trial))
 
     def extremes(start, view):
@@ -347,7 +359,8 @@ def _mean_width_trial(args) -> float:
         return top, bottom
 
     body = BodySpec(p, n, normalized)
-    tops, bottoms = zip(*_map_points(body, N, derive_seed(seed, "mw-pts", trial), extremes))
+    with _one_blas_thread():
+        tops, bottoms = zip(*_map_points(body, N, derive_seed(seed, "mw-pts", trial), extremes))
     return float(np.maximum(np.max(tops, axis=0), -np.min(bottoms, axis=0)).mean())
 
 

@@ -1,6 +1,5 @@
-import ctypes
+import contextlib
 import math
-import os
 
 import numpy as np
 import pytest
@@ -64,35 +63,33 @@ def _held_cloud_trial(args):
     return float(supports.mean())
 
 
-def _openblas_libs(kind):
-    """(library, function) for every OpenBLAS mapped into this process that
-    exports a thread-count function of the kind "get" or "set"."""
-    if not os.path.exists("/proc/self/maps"):
-        return []
-    with open("/proc/self/maps") as maps:
-        fields = [line.split() for line in maps]
-    paths = sorted({f[5] for f in fields if len(f) >= 6 and "openblas" in os.path.basename(f[5])})
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in (f"{pre}openblas_{kind}_num_threads{suf}" for pre in ("scipy_", "") for suf in ("64_", "")):
-            if hasattr(lib, name):
-                found.append((path, getattr(lib, name)))
-                break
-    return found
-
-
-def _blas_threads_after(args):
-    """In a pool worker: two threads on every OpenBLAS, then the trial
-    args[0] on args[1]; the thread count each library reads back, and
-    whether the one-thread helper ran."""
-    for _, setter in _openblas_libs("set"):
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(2)
+def _blas_threads_in(args):
+    """The trial args[0] on args[1], with two threads set on every OpenBLAS
+    first: the thread counts the libraries read inside each one-thread
+    block the trial enters, and after the trial.  The counts found on entry
+    are set again on return."""
     trial, trial_args = args
-    trial(trial_args)
-    counts = [getter() for _, getter in _openblas_libs("get")]
-    return counts, estimators._one_blas_thread.cache_info().currsize
+    controls = estimators._blas_thread_controls()
+    saved = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(2)
+    inside, helper = [], estimators._one_blas_thread
+
+    @contextlib.contextmanager
+    def recording():
+        with helper():
+            inside.append([getter() for getter, _ in controls])
+            yield
+
+    estimators._one_blas_thread = recording
+    try:
+        trial(trial_args)
+        after = [getter() for getter, _ in controls]
+    finally:
+        estimators._one_blas_thread = helper
+        for (_, setter), count in zip(controls, saved):
+            setter(count)
+    return inside, after
 
 
 def cube_inversion_formula(N):
@@ -301,17 +298,18 @@ class TestMeanWidth:
             rep = mean_width_mc(body, 70000, trials=5, n_dirs=16, seed=8, threads=threads)
             assert (rep.mc_mean, rep.mc_ci95) == (serial.mc_mean, serial.mc_ci95)
 
-    def test_one_blas_thread_in_trial_workers(self):
-        if not _openblas_libs("get"):
-            pytest.skip("no OpenBLAS with a thread-count getter is loaded")
+    def test_one_blas_thread_in_mean_width_trials(self):
+        if not estimators._blas_thread_controls():
+            pytest.skip("no OpenBLAS with thread-count functions is loaded")
         mw = (_mean_width_trial, (2.0, 30, True, 5000, 32, 1, 0))
         sup = (_support_trial, (1.5, 30, True, 5000, np.full(30, 1.0 / math.sqrt(30)), 1, 0))
-        # one pool per trial kind, so no worker runs both
-        for counts, calls in estimators._parallel_map(_blas_threads_after, [mw, mw], 2):
-            assert counts and set(counts) == {1} and calls == 1
-        # the support trial uses no BLAS and leaves the helper alone
-        for counts, calls in estimators._parallel_map(_blas_threads_after, [sup, sup], 2):
-            assert set(counts) == {2} and calls == 0
+        # in pool workers and in this process alike: one thread while the
+        # trial's products run, the caller's two again after it
+        for inside, after in estimators._parallel_map(_blas_threads_in, [mw, mw], 2) + [_blas_threads_in(mw)]:
+            assert len(inside) == 1 and set(inside[0]) == {1} and set(after) == {2}
+        # the support trial uses no BLAS and never enters the helper
+        for inside, after in estimators._parallel_map(_blas_threads_in, [sup, sup], 2):
+            assert inside == [] and set(after) == {2}
 
     def test_level_and_direction_counts(self):
         body = BodySpec(2.0, 3)
