@@ -7,12 +7,13 @@ Guedon, Mendelson and Naor, Ann. Probab. 2005).  For p = 2 the Y_i are
 N(0, 1/2) normals; other finite p build them from a Gamma and a uniform
 variate.
 
-Random streams are counter-based (numpy Philox) and derived by hashing
-(seed, path); every batch of work owns its stream, so results are
-reproducible regardless of chunking or parallelism.  The samplers fill
-their chunks on a thread pool sized by the process's CPU affinity, with
-one thread inside worker processes (_fill_threads); per-chunk results are
-combined in chunk order, so the thread count never shows in an output.
+Random streams are numpy SFC64 generators, each seeded through a
+SeedSequence by a blake2b hash of (seed, path); every batch of work owns
+its stream, so results are reproducible regardless of chunking or
+parallelism.  The samplers fill their chunks on a thread pool sized by the
+process's CPU affinity, with one thread inside worker processes
+(_fill_threads); per-chunk results are combined in chunk order, so the
+thread count never shows in an output.
 """
 
 from __future__ import annotations
@@ -75,9 +76,12 @@ def _hash_path(seed: int, path) -> bytes:
 
 
 def stream(seed: int, *path) -> np.random.Generator:
-    """Philox generator keyed by (seed, path); independent per path."""
-    key = np.frombuffer(_hash_path(seed, path), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 generator seeded by (seed, path); independent per path.
+
+    The 16-byte blake2b digest of (seed, path) is the SeedSequence entropy,
+    so distinct paths get unrelated states and the same path the same one."""
+    entropy = int.from_bytes(_hash_path(seed, path), "little")
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 
 def derive_seed(seed: int, *path) -> int:

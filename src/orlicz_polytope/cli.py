@@ -43,7 +43,7 @@ from .orlicz import (
     representation_spread,
 )
 
-RNG_ALGORITHM = "philox4x64/blake2b-derived-streams"
+RNG_ALGORITHM = "sfc64/seedsequence-of-blake2b-streams"
 SEED_ENV = "ORLICZ_POLYTOPE_SEED"
 
 
@@ -127,13 +127,24 @@ def parse_p(raw) -> float:
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key = value text, or the config echo of a manifest.json."""
+    """Flat key = value text, or the config echo of a manifest.json.
+
+    A manifest written under another rng_algorithm is refused: its replay
+    would draw different samples."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     text = p.read_text(encoding="utf-8")
     if p.suffix == ".json":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: a .json config must hold a JSON object")
+        rng = data.get("rng_algorithm", RNG_ALGORITHM)
+        if rng != RNG_ALGORITHM:
+            raise ConfigError(f"manifest was written with RNG {rng!r}, this version draws from {RNG_ALGORITHM!r}")
         cfg = data.get("config", data)
         if not isinstance(cfg, dict):
             raise ConfigError("manifest does not carry a config mapping")

@@ -27,6 +27,7 @@ from orlicz_polytope.bodies import (
     stream,
     support_function,
 )
+from orlicz_polytope.cli import RNG_ALGORITHM
 from orlicz_polytope.errors import DomainError
 from orlicz_polytope.estimators import _parallel_map
 from orlicz_polytope.mathkit import Interval, QuadratureSpec, quad_adaptive
@@ -226,6 +227,12 @@ class TestSamplers:
         c = stream(5, "x", 0).random(4)
         assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
+
+    def test_stream_is_the_manifest_generator(self):
+        # the manifest's rng_algorithm starts with the numpy bit generator
+        # the streams use, so the id cannot drift from the code unnoticed
+        bit_generator = type(stream(5, "x", 0).bit_generator).__name__.lower()
+        assert RNG_ALGORITHM.split("/")[0].startswith(bit_generator)
 
 
 def _whole_chunk_fill(body, view, seed, idx):

@@ -5,6 +5,7 @@ import pytest
 
 from orlicz_polytope import orlicz
 from orlicz_polytope.cli import (
+    RNG_ALGORITHM,
     ConfigError,
     dumps_json,
     fmt,
@@ -69,6 +70,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config_file(str(cfg))
 
+    @pytest.mark.parametrize("text", ["[1, 2]\n", '{"config": {"p": 3\n'], ids=["list", "truncated"])
+    def test_json_config_not_an_object_exit_2(self, tmp_path, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        assert run(tmp_path, "estimate", "--config", str(cfg)) == 2
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ORLICZ_POLYTOPE_SEED", "77")
         assert run(tmp_path, "estimate", "--p", "inf", "--n", "3", "--N", "2", "--trials", "0") == 0
@@ -130,6 +137,19 @@ class TestConfigParsing:
         old.write_text(json.dumps(manifest))
         assert run(tmp_path, "estimate", "--config", str(old)) == 0
         assert (tmp_path / "out" / "report.json").read_bytes() == report
+
+    def test_manifest_of_another_rng_exit_2(self, tmp_path, capsys):
+        # its samples would differ, so it cannot replay byte for byte
+        args = ["estimate", "--p", "1.5", "--n", "10", "--N", "1000", "--trials", "0"]
+        assert run(tmp_path, *args) == 0
+        manifest = read_json(tmp_path, "manifest.json")
+        manifest["rng_algorithm"] = "philox4x64/blake2b-derived-streams"
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(tmp_path, "estimate", "--config", str(old)) == 2
+        err = capsys.readouterr().err
+        assert "philox4x64/blake2b-derived-streams" in err and RNG_ALGORITHM in err
 
 
 class TestSerialization:
