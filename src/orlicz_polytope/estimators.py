@@ -42,7 +42,7 @@ from .bodies import (
     sample_uniform,
 )
 from .errors import DomainError, HypothesisError
-from .mathkit import bisect, bracket, quad_cumulative
+from .mathkit import bracket, brent, quad_cumulative
 from .orlicz import (
     OrliczFunction,
     empirical_roots,
@@ -195,12 +195,20 @@ def build_direction_orlicz(
     axes and, by rotational invariance, for p = 2 in every direction.
     Other directions use the empirical measure of proj_samples projections.
     """
+    atoms = _direction_atoms(body, direction, proj_samples, seed)
+    return from_tail(coordinate_marginal(body)) if atoms is None else from_empirical(atoms)
+
+
+def _direction_atoms(body: BodySpec, direction, proj_samples: int, seed: int) -> Optional[np.ndarray]:
+    """The proj_samples projections on theta that stand in for the marginal,
+    or None where the exact coordinate marginal serves (canonical axes, and
+    p = 2 in every direction)."""
     theta = _resolve_direction(body, direction)
     if not body.normalized:
         raise DomainError("Orlicz constructions assume the volume-1 body")
     if body.p == 2.0 or _is_canonical(theta):
-        return from_tail(coordinate_marginal(body))
-    return from_empirical(project_uniform(body, theta, proj_samples, derive_seed(seed, "marginal")))
+        return None
+    return project_uniform(body, theta, proj_samples, derive_seed(seed, "marginal"))
 
 
 def expected_support_orlicz(
@@ -211,8 +219,19 @@ def expected_support_orlicz(
     seed: int = 0,
 ) -> float:
     """Support-function estimate: invert the direction's Orlicz function at 1/N."""
-    M = build_direction_orlicz(body, direction, proj_samples, seed)
-    return invert_for_support(M, N)
+    return _support_estimates(body, direction, [N], proj_samples, seed)[0]
+
+
+def _support_estimates(body: BodySpec, direction, levels, proj_samples: int, seed: int) -> list[float]:
+    """The direction's Orlicz function inverted at each 1/N of levels, from
+    one draw of its projections.  On projections each inversion is the
+    closed-form root (empirical_roots) of their empirical M, which neither
+    sorts every atom nor searches."""
+    atoms = _direction_atoms(body, direction, proj_samples, seed)
+    if atoms is None:
+        M = from_tail(coordinate_marginal(body))
+        return [invert_for_support(M, N) for N in levels]
+    return [float(empirical_roots(atoms, N)[0]) for N in levels]
 
 
 def direction_support_profile(
@@ -445,13 +464,15 @@ def mean_width_mc(
 # sphere averages of M and the matching scale
 
 def _spherical_values(n: int, norms: np.ndarray, s: float) -> np.ndarray:
-    """M_sph(norm/s) per sample, by cumulative quadrature on the sorted grid.
+    """M_sph(norm/s) per sample of the ascending norms, in their order, by
+    cumulative quadrature on the sorted grid.
 
     Uses the bounded integrand (1 - t^-2)^{(n-1)/2} on [1, x]; a geometric
     refinement grid resolves the branch point at 1, and consecutive sample
-    values keep every panel short.
+    values keep every panel short.  Dividing by s > 0 keeps the norms sorted,
+    so the caller sorts them once for every s it reads.
     """
-    x = np.sort(norms / s)
+    x = norms / s
     x = x[x > 1.0 + 1e-15]
     below = norms.size - x.size
     if x.size == 0:
@@ -478,7 +499,7 @@ def sphere_average_m(body: BodySpec, s: float, samples: int, seed: int = 0) -> M
         raise DomainError("s must be positive")
     if samples < 2:
         raise DomainError("need at least two samples")
-    norms = sample_norms(body, samples, derive_seed(seed, "sphavg"))
+    norms = np.sort(sample_norms(body, samples, derive_seed(seed, "sphavg")))
     values = _spherical_values(body.n, norms, s)
     return MCValue(
         value=float(values.mean()),
@@ -491,18 +512,20 @@ def sphere_average_m(body: BodySpec, s: float, samples: int, seed: int = 0) -> M
 def solve_tilde_s(body: BodySpec, N: int, samples: int, seed: int = 0) -> float:
     """Scale at which the sphere average of M(1/s) crosses 1/N.
 
-    One frozen point cloud is reused for every bisection step, so the
-    objective is deterministic and monotone in s.
+    One frozen point cloud, sorted once, is reused for every step of the
+    bracketed Brent search, so the gap (sphere average - 1/N) is
+    deterministic and decreasing in s.  Returns the midpoint of the final
+    bracket, whose relative width is at most 1e-6.
     """
     if N < 2:
         raise DomainError("N must be at least 2")
     norms = np.sort(sample_norms(body, samples, derive_seed(seed, "tilde-s")))
     level = 1.0 / N
 
-    def fits(s: float) -> bool:
-        return float(_spherical_values(body.n, norms, s).mean()) <= level
+    def gap(s: float) -> float:
+        return float(_spherical_values(body.n, norms, s).mean()) - level
 
-    lo, hi = bisect(fits, *bracket(fits, float(norms[-1]), _TILDE_S_LIMIT), _TILDE_S_REL_TOL)
+    lo, hi = brent(gap, *bracket(gap, float(norms[-1]), _TILDE_S_LIMIT), _TILDE_S_REL_TOL)
     return 0.5 * (lo + hi)
 
 
@@ -549,10 +572,15 @@ def general_upper_bound(marginal: MarginalDensity, N: int) -> float:
     def h(t: float) -> float:
         return float(marginal.density(t)) ** (1.0 / (n - 1))
 
-    target = h(0.0) * (1.0 - drop)
-    if target >= h(0.0):
+    top = h(0.0)
+    target = top * (1.0 - drop)
+    if target >= top:
         return 0.0
-    lo, hi = bisect(lambda t: h(t) <= target, 0.0, radius, 1e-14)
+
+    def gap(t: float) -> float:
+        return h(t) - target
+
+    lo, hi = brent(gap, 0.0, radius, top - target, gap(radius), 1e-14)
     return 0.5 * (lo + hi)
 
 
@@ -654,11 +682,9 @@ def run_support_scan(
 ) -> ScanResult:
     """Support-function law scan over N; fits log(est) vs log(log N)."""
     _check_grid(N_grid)
-    M = build_direction_orlicz(body, direction, proj_samples, seed)  # does not depend on N
-    estimates, oracles = [], []
-    for N in N_grid:
-        est = invert_for_support(M, int(N))
-        estimates.append(est)
+    estimates = _support_estimates(body, direction, [int(N) for N in N_grid], proj_samples, seed)
+    oracles = []
+    for N, est in zip(N_grid, estimates):
         if trials > 0:
             rep = expected_support_mc(
                 PolytopeExperiment(body, int(N), direction, trials, seed),

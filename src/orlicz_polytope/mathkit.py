@@ -35,6 +35,7 @@ __all__ = [
     "sincos_recursion",
     "sincos_identity_sides",
     "bracket",
+    "brent",
     "bisect",
 ]
 
@@ -363,35 +364,99 @@ def quad_cumulative(f: Callable, points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# monotone root bracketing
+# level searches: bracket a decreasing gap, then shrink the bracket
 
-def bracket(pred: Callable[[float], bool], ref: float, limit: float) -> tuple[float, float]:
-    """A bracket (lo, hi) of a monotone predicate, pred(lo) false and
-    pred(hi) true, for bisect: hi doubles up from ref while pred(hi) is
-    false, and lo is then the last hi that failed; if pred(ref) holds, hi
-    stays ref and lo halves down from ref / 2 while pred(lo) holds.  Raises
-    RangeError once hi passes ref * limit or lo passes below ref / limit."""
+def bracket(gap: Callable[[float], float], ref: float, limit: float) -> tuple[float, float, float, float]:
+    """A bracket (lo, hi, gap(lo), gap(hi)) of a decreasing signed gap, with
+    gap(lo) > 0 >= gap(hi), for brent: hi doubles up from ref while
+    gap(hi) > 0, and lo is then the last hi above 0; if gap(ref) <= 0, hi
+    stays ref and lo halves down from ref / 2 while gap(lo) <= 0.  Each point
+    is read once.  Raises RangeError once hi passes ref * limit or lo passes
+    below ref / limit.  A NaN gap counts as above 0."""
     if not (math.isfinite(ref) and ref > 0 and limit > 1):
         raise DomainError("a bracket needs a positive finite ref and a limit above 1")
     span = f"[{ref / limit:g}, {ref * limit:g}]"
     lo = hi = ref
-    while not pred(hi):
-        lo, hi = hi, 2.0 * hi
+    g_lo = g_hi = gap(ref)
+    while not g_hi <= 0:
+        lo, g_lo, hi = hi, g_hi, 2.0 * hi
         if hi > ref * limit:
             raise RangeError(f"the crossing lies above the search range {span}")
+        g_hi = gap(hi)
     if lo == hi:
         lo = hi / 2.0
-        while pred(lo):
+        g_lo = gap(lo)
+        while g_lo <= 0:
             lo /= 2.0
             if lo < ref / limit:
                 raise RangeError(f"the crossing lies below the search range {span}")
-    return lo, hi
+            g_lo = gap(lo)
+    return lo, hi, g_lo, g_hi
+
+
+def brent(
+    gap: Callable[[float], float], lo: float, hi: float, g_lo: float, g_hi: float, rel_tol: float
+) -> tuple[float, float]:
+    """Shrink a bracket of a decreasing signed gap, given gap(lo) > 0 >= gap(hi)
+    at 0 <= lo < hi, until hi - lo <= rel_tol * hi (or lo and hi are adjacent
+    floats), keeping gap(lo) > 0 >= gap(hi).  Returns the final (lo, hi), or
+    (x, x) at a point x where gap is read exactly 0.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): each step tries inverse-quadratic interpolation through the last
+    three points, or the secant through two, and falls back to the midpoint
+    when the trial leaves the bracket or does not shrink it fast enough; a
+    step never falls below half the stopping width, so the bracket closes
+    round a root it has already pinned.  One read of gap per step."""
+    if g_hi == 0:
+        return hi, hi
+    # cur is the latest point, blk the end across the crossing from it, and
+    # pre the point cur replaced (equal to blk right after a sign change)
+    pre, g_pre, cur, g_cur = lo, g_lo, hi, g_hi
+    blk, g_blk = pre, g_pre
+    step = last = cur - pre
+    while True:
+        if (g_pre <= 0) != (g_cur <= 0):
+            blk, g_blk = pre, g_pre
+            step = last = cur - pre
+        if abs(g_blk) < abs(g_cur):  # cur is the end with the smaller |gap|
+            pre, cur, blk = cur, blk, cur
+            g_pre, g_cur, g_blk = g_cur, g_blk, g_cur
+        lo, hi = (blk, cur) if g_cur <= 0 else (cur, blk)
+        half = 0.5 * (blk - cur)
+        if hi - lo <= rel_tol * hi or not lo < cur + half < hi:
+            return lo, hi
+        min_step = 0.5 * rel_tol * hi
+        trial = None
+        if abs(last) > min_step and abs(g_cur) < abs(g_pre):
+            if pre == blk:  # secant
+                trial = -g_cur * (cur - pre) / (g_cur - g_pre)
+            else:  # inverse quadratic
+                d_pre = (g_pre - g_cur) / (pre - cur)
+                d_blk = (g_blk - g_cur) / (blk - cur)
+                trial = -g_cur * (g_blk * d_blk - g_pre * d_pre) / (d_blk * d_pre * (g_blk - g_pre))
+            if not (trial * half > 0 and 2.0 * abs(trial) < min(abs(last), 3.0 * abs(half) - min_step)):
+                trial = None  # it points away from blk, or shrinks too slowly
+        if trial is None:
+            last = step = half
+        else:
+            last, step = step, trial
+        pre, g_pre = cur, g_cur
+        cur += step if abs(step) > min_step else math.copysign(min_step, half)
+        g_cur = gap(cur)
+        if g_cur == 0:
+            return cur, cur
 
 
 def bisect(pred: Callable[[float], bool], lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
     """Shrink a bracket of a monotone predicate: given pred(lo) false and
     pred(hi) true, halve [lo, hi] keeping both, until hi - lo <= rel_tol * hi
-    (or lo and hi are adjacent floats).  Returns the final (lo, hi)."""
+    (or lo and hi are adjacent floats).  Returns the final (lo, hi).
+
+    Level searches use bracket and brent instead, which read less than half
+    as often.  Only legendre_dual halves: its chord-slope searches of every x
+    visit the same dyadic points of [grid_max, 2 grid_max], which is what
+    lets the dual's memo answer most of its reads."""
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -28,6 +28,7 @@ from .mathkit import (
     ball_volume_ratio,
     bisect,
     bracket,
+    brent,
     quad_adaptive,
     quad_batch,
 )
@@ -498,20 +499,23 @@ def level_count(N) -> int:
 
 def _norm(weighted: list[tuple[float, int]], M: OrliczFunction, rel_tol: float) -> float:
     """inf{rho > 0 : sum_k c_k M(a_k / rho) <= 1} over the pairs (a_k, c_k)
-    of positive value and multiplicity, M read once per pair and step.  The
-    bracket grows from the largest a_k over M's zero threshold, where every
-    term vanishes (from the largest a_k itself when M vanishes only at 0)."""
+    of positive value and multiplicity, M read once per pair and step: the
+    upper end of the final brent bracket of the gap sum_k c_k M(a_k / rho) - 1,
+    which decreases in rho.  The bracket grows from the largest a_k over M's
+    zero threshold, where every term vanishes (from the largest a_k itself
+    when M vanishes only at 0)."""
     top = max(a for a, _ in weighted)
 
-    def fits(rho: float) -> bool:
-        return sum(c * M.eval(a / rho) for a, c in weighted) <= 1.0
+    def gap(rho: float) -> float:
+        return sum(c * M.eval(a / rho) for a, c in weighted) - 1.0
 
     ref = top / M.zero_threshold if M.zero_threshold > 0 else top
-    return bisect(fits, *bracket(fits, ref, BRACKET_LIMIT), rel_tol)[1]
+    return brent(gap, *bracket(gap, ref, BRACKET_LIMIT), rel_tol)[1]
 
 
 def luxemburg_norm(x: Sequence[float], M: OrliczFunction) -> float:
-    """inf{rho > 0 : sum_i M(|x_i| / rho) <= 1} by monotone bisection.
+    """inf{rho > 0 : sum_i M(|x_i| / rho) <= 1}, to a relative width of
+    1e-10, by a bracketed Brent search (mathkit.bracket, mathkit.brent).
     M is read once per distinct nonzero |x_i|, weighted by its multiplicity,
     so a constant vector of any length costs one read per step."""
     x = np.asarray(x, dtype=float).ravel()
@@ -530,7 +534,7 @@ def luxemburg_norm(x: Sequence[float], M: OrliczFunction) -> float:
 
 def invert_for_support(M: OrliczFunction, N: int) -> float:
     """inf{s > 0 : M(1/s) <= 1/N}, the support-function estimate at level N:
-    the Luxemburg norm of (1, ..., 1) in R^N."""
+    the Luxemburg norm of (1, ..., 1) in R^N, to a relative width of 1e-9."""
     return _norm([(1.0, level_count(N))], M, _INVERT_REL_TOL)
 
 

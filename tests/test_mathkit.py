@@ -14,6 +14,7 @@ from orlicz_polytope.mathkit import (
     ball_volume_ratio,
     bisect,
     bracket,
+    brent,
     log_gamma,
     quad_adaptive,
     quad_batch,
@@ -237,35 +238,81 @@ class TestBisect:
 class TestBracket:
     def test_doubles_up_without_rereading(self):
         seen = []
-        pred = lambda x: seen.append(x) or x >= 5.0
-        assert bracket(pred, 1.0, 1e6) == (4.0, 8.0)
-        assert seen == [1.0, 2.0, 4.0, 8.0]  # the last failing hi is lo, unread again
+        gap = lambda x: seen.append(x) or 5.0 - x
+        assert bracket(gap, 1.0, 1e6) == (4.0, 8.0, 1.0, -3.0)
+        assert seen == [1.0, 2.0, 4.0, 8.0]  # the last hi above 0 is lo, unread again
 
     def test_halves_down_keeping_ref(self):
         seen = []
-        pred = lambda x: seen.append(x) or x >= 0.3
-        assert bracket(pred, 1.0, 1e6) == (0.25, 1.0)
+        gap = lambda x: seen.append(x) or 0.3 - x
+        assert bracket(gap, 1.0, 1e6) == (0.25, 1.0, 0.3 - 0.25, 0.3 - 1.0)
         assert seen == [1.0, 0.5, 0.25]
 
     def test_root_at_ref(self):
-        assert bracket(lambda x: x >= 3.0, 3.0, 10.0) == (1.5, 3.0)
+        assert bracket(lambda x: 3.0 - x, 3.0, 10.0) == (1.5, 3.0, 1.5, 0.0)
 
     def test_range_errors(self):
         with pytest.raises(RangeError, match=r"above the search range \[0.001, 1000\]"):
-            bracket(lambda x: False, 1.0, 1e3)
+            bracket(lambda x: 1.0, 1.0, 1e3)
         with pytest.raises(RangeError, match=r"below the search range \[0.001, 1000\]"):
-            bracket(lambda x: True, 1.0, 1e3)
+            bracket(lambda x: -1.0, 1.0, 1e3)
         # at limit 1e3 the last points read are 2^9 and 2^-9
         seen = []
         with pytest.raises(RangeError):
-            bracket(lambda x: seen.append(x) or x >= 600.0, 1.0, 1e3)
+            bracket(lambda x: seen.append(x) or 600.0 - x, 1.0, 1e3)
         assert max(seen) == 512.0
-        assert bracket(lambda x: x >= 500.0, 1.0, 1e3) == (256.0, 512.0)
+        assert bracket(lambda x: 500.0 - x, 1.0, 1e3)[:2] == (256.0, 512.0)
+
+    def test_nan_gap_counts_as_above_zero(self):
+        with pytest.raises(RangeError, match="above the search range"):
+            bracket(lambda x: math.nan, 1.0, 1e3)
 
     @pytest.mark.parametrize("ref, limit", [(0.0, 10.0), (-1.0, 10.0), (math.inf, 10.0), (math.nan, 10.0), (1.0, 1.0)])
     def test_refuses_bad_ref_and_limit(self, ref, limit):
         with pytest.raises(DomainError):
-            bracket(lambda x: x >= 1.0, ref, limit)
+            bracket(lambda x: 1.0 - x, ref, limit)
+
+
+class TestBrent:
+    @staticmethod
+    def solve(gap, lo, hi, rel_tol):
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return gap(x)
+
+        return brent(counted, lo, hi, gap(lo), gap(hi), rel_tol), seen
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-14])
+    def test_invariant_and_width(self, rel_tol):
+        (lo, hi), seen = self.solve(lambda x: 2.0 - x * x, 0.0, 10.0, rel_tol)
+        assert 2.0 - lo * lo > 0.0 >= 2.0 - hi * hi
+        assert hi - lo <= rel_tol * hi
+        assert all(0.0 < x < 10.0 for x in seen)  # the ends are never read again
+        assert len(seen) <= 12  # halving [0, 10] to 1e-14 takes 50 reads
+
+    def test_exact_zero_is_returned(self):
+        # the secant through (0, 0.75) and (1, -0.25) lands on the root
+        (lo, hi), seen = self.solve(lambda x: 0.75 - x, 0.0, 1.0, 1e-12)
+        assert (lo, hi) == (0.75, 0.75)
+        assert seen == [0.75]
+        assert brent(lambda x: 1.0 - x, 0.5, 1.0, 0.5, 0.0, 1e-12) == (1.0, 1.0)
+
+    def test_stops_at_adjacent_floats(self):
+        # sqrt(2) has no double, and no double squares to 2 exactly
+        (lo, hi), _ = self.solve(lambda x: 2.0 - x * x, 1.0, 2.0, 0.0)
+        assert hi == np.nextafter(lo, 2.0)
+        assert 2.0 - lo * lo > 0.0 >= 2.0 - hi * hi
+
+    def test_flat_gap_falls_back_to_halving(self):
+        # a gap flat on both sides of a jump gives interpolation nothing to
+        # use: every step halves, as bisect does, read for read
+        (lo, hi), seen = self.solve(lambda x: 1.0 if x < math.pi else -1.0, 0.0, 8.0, 1e-9)
+        halved = []
+        assert (lo, hi) == bisect(lambda x: halved.append(x) or x >= math.pi, 0.0, 8.0, 1e-9)
+        assert seen == halved
+        assert lo < math.pi <= hi and hi - lo <= 1e-9 * hi
 
 
 class TestSinCosRecursion:

@@ -15,7 +15,7 @@ from orlicz_polytope.bodies import (
     sample_sphere,
 )
 from orlicz_polytope.errors import DomainError, EstimationError, RangeError
-from orlicz_polytope.mathkit import Interval, QuadratureSpec, bisect, quad_adaptive
+from orlicz_polytope.mathkit import Interval, QuadratureSpec, bisect, bracket, brent, quad_adaptive
 from orlicz_polytope.orlicz import (
     OrliczFunction,
     dual_involution_error,
@@ -476,7 +476,7 @@ class TestLuxemburg:
         assert np.allclose(ratios, 4.0 / 3.0, rtol=1e-12)
         seen.clear()
         luxemburg_norm(np.ones(10**4), counted(from_power(2.0), seen))
-        assert len(seen) <= 100  # one read per bisection step
+        assert len(seen) <= 100  # one read per search step
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_entries_refused(self, bad):
@@ -557,6 +557,47 @@ class TestInversion:
         )
         with pytest.raises(RangeError, match="below the search range"):
             invert_for_support(capped, 10)
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(
+        kind=st.sampled_from(["power", "pball", "empirical"]),
+        shape=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
+        n=st.integers(2, 30),
+        atoms=st.integers(1, 5000),
+        N=st.sampled_from([1, 2, 10, 10**3, 10**6]) | st.integers(1, 10**6),
+    )
+    def test_search_straddles_the_level(self, kind, shape, n, atoms, N):
+        if kind == "power":
+            M = from_power(shape, 0.25)  # root (N / 4)^(1 / shape) stays inside the bracket limit
+        elif kind == "pball":
+            M = from_pball(shape, n)
+        else:
+            v = np.random.default_rng(atoms).laplace(size=atoms)
+            M = from_empirical(v)
+        gap = lambda s: N * M.eval(1.0 / s) - 1.0  # the gap invert_for_support searches
+        ref = 1.0 / M.zero_threshold if M.zero_threshold > 0 else 1.0
+        lo, hi = brent(gap, *bracket(gap, ref, orlicz.BRACKET_LIMIT), 1e-9)
+        if lo == hi:
+            assert gap(hi) == 0.0
+        else:
+            assert gap(lo) > 0.0 >= gap(hi)
+            assert hi - lo <= 1e-9 * hi
+        assert invert_for_support(M, N) == hi
+        if kind == "empirical":
+            assert abs(hi - empirical_roots(v, N)[0]) <= 1e-9 * hi
+
+    def test_m_reads_on_canonical_cells(self):
+        # the 70 canonical cells of the orlicz-grid benchmark; halving the
+        # bracket to the same width read M 2274 times (32.5 per inversion)
+        reads = 0
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, INF):
+            for n in (10, 30):
+                seen = []
+                M = counted(from_tail(coordinate_marginal(BodySpec(p, n))), seen)
+                for N in (10**2, 10**3, 10**4, 10**5, 10**6):
+                    invert_for_support(M, N)
+                reads += len(seen)
+        assert reads <= 971  # measured: 13.9 reads per inversion
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("n", [2, 10, 50])
