@@ -43,7 +43,6 @@ from .mathkit import (
     SinCosParams,
     ball_volume,
     ball_volume_ratio,
-    log_gamma,
     quad_adaptive,
     sincos_recursion,
 )
@@ -52,10 +51,6 @@ from .orlicz import (
     invert_for_support,
     legendre_dual,
     luxemburg_norm,
-    m_from_tail,
-    m_from_tail_alt,
-    m_pball_first,
-    m_pball_second,
     m_spherical,
 )
 

@@ -94,7 +94,8 @@ def derive_seed(seed: int, *path) -> int:
 
 @dataclass(frozen=True)
 class BodySpec:
-    """An l_p ball in dimension n; normalized=True selects the volume-1 copy."""
+    """An l_p ball in dimension n; normalized=True selects the volume-1 copy.
+    An integral n such as 3.0 is stored as the int 3."""
 
     p: float
     n: int
@@ -103,8 +104,9 @@ class BodySpec:
     def __post_init__(self):
         if math.isnan(self.p) or self.p < 1.0:
             raise DomainError(f"p must satisfy 1 <= p <= inf, got {self.p!r}")
-        if self.n < 1 or int(self.n) != self.n:
+        if not (self.n >= 1 and float(self.n).is_integer()):
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,8 @@ class Direction:
         object.__setattr__(self, "coords", c)
         if c.ndim != 1 or c.size < 1:
             raise DomainError("direction must be a 1-D vector")
+        if not np.all(np.isfinite(c)):
+            raise DomainError("direction coordinates must be finite")
         if abs(float(np.linalg.norm(c)) - 1.0) > 1e-12:
             raise DomainError("direction must be a unit vector (|norm - 1| <= 1e-12)")
 

@@ -123,12 +123,10 @@ class MCValue:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Paired Orlicz-inversion estimate and Monte Carlo oracle."""
+    """A Monte Carlo oracle's mean with its 95% confidence interval."""
 
-    orlicz_value: Optional[float]
     mc_mean: float
     mc_ci95: tuple[float, float]
-    ratio: Optional[float]
     meta: dict = field(default_factory=dict)
 
 
@@ -304,10 +302,7 @@ def mean_width_orlicz_report(
 # ---------------------------------------------------------------------------
 # Monte Carlo oracles
 
-def _support_trial(args) -> float:
-    p, n, normalized, N, coords, seed, trial = args
-    body = BodySpec(p, n, normalized)
-    theta = Direction(np.asarray(coords))
+def _support_trial(body: BodySpec, theta: Direction, N: int, seed: int, trial: int) -> float:
     trial_seed = derive_seed(seed, "esup", trial)
     if body.p == 2.0 or _is_canonical(theta):
         # <X, theta> has the law of the first coordinate: draw it directly
@@ -364,9 +359,8 @@ def _one_blas_thread():
             setter(count)
 
 
-def _mean_width_trial(args) -> float:
-    p, n, normalized, N, n_dirs, seed, trial = args
-    dirs = sample_sphere(n, n_dirs, derive_seed(seed, "mw-dirs", trial))
+def _mean_width_trial(body: BodySpec, N: int, n_dirs: int, seed: int, trial: int) -> float:
+    dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "mw-dirs", trial))
 
     def extremes(start, view):
         # max |<x, theta>| = max(max, -min): no abs copy of the product
@@ -377,7 +371,6 @@ def _mean_width_trial(args) -> float:
             np.minimum(bottom, product.min(axis=0), out=bottom)
         return top, bottom
 
-    body = BodySpec(p, n, normalized)
     with _one_blas_thread():
         tops, bottoms = zip(*_map_points(body, N, derive_seed(seed, "mw-pts", trial), extremes))
     return float(np.maximum(np.max(tops, axis=0), -np.min(bottoms, axis=0)).mean())
@@ -392,42 +385,21 @@ def _parallel_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
-def _mc_report(values: Sequence[float], orlicz_value: Optional[float], meta: dict) -> EstimateReport:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    half = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    ratio = mean / orlicz_value if orlicz_value else None
-    return EstimateReport(
-        orlicz_value=orlicz_value,
-        mc_mean=mean,
-        mc_ci95=(mean - half, mean + half),
-        ratio=ratio,
-        meta=meta,
-    )
-
-
-def expected_support_mc(
-    exp: PolytopeExperiment,
-    threads: int = 1,
-    orlicz_value: Optional[float] = None,
-) -> EstimateReport:
-    """Monte Carlo oracle for E max_i |<X_i, theta>| with a 95% CI; the
-    report's ratio is None unless an orlicz_value is passed."""
-    theta = exp.resolved_direction()
+def _mc_oracle(trial, args: tuple, threads: int, meta: dict) -> EstimateReport:
+    """Mean and 95% CI of trial(*args, t) over the meta["trials"] trials t,
+    run through _parallel_map; meta gains their wall time as elapsed_s."""
     t0 = time.perf_counter()
-    args = [
-        (exp.body.p, exp.body.n, exp.body.normalized, exp.N, theta.coords, exp.seed, t)
-        for t in range(exp.mc_trials)
-    ]
-    values = _parallel_map(_support_trial, args, threads)
-    meta = {
-        "seed": exp.seed,
-        "trials": exp.mc_trials,
-        "N": exp.N,
-        "statistic": "max-abs-projection",
-        "elapsed_s": time.perf_counter() - t0,
-    }
-    return _mc_report(values, orlicz_value, meta)
+    values = np.array(_parallel_map(functools.partial(trial, *args), range(meta["trials"]), threads))
+    meta["elapsed_s"] = time.perf_counter() - t0
+    mean = float(values.mean())
+    half = 1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)
+    return EstimateReport(mc_mean=mean, mc_ci95=(mean - half, mean + half), meta=meta)
+
+
+def expected_support_mc(exp: PolytopeExperiment, threads: int = 1) -> EstimateReport:
+    """Monte Carlo oracle for E max_i |<X_i, theta>| with a 95% CI."""
+    meta = {"seed": exp.seed, "trials": exp.mc_trials, "N": exp.N, "statistic": "max-abs-projection"}
+    return _mc_oracle(_support_trial, (exp.body, exp.resolved_direction(), exp.N, exp.seed), threads, meta)
 
 
 def mean_width_mc(
@@ -437,7 +409,6 @@ def mean_width_mc(
     n_dirs: int,
     seed: int = 0,
     threads: int = 1,
-    orlicz_value: Optional[float] = None,
 ) -> EstimateReport:
     """Monte Carlo mean width: fresh sphere directions per polytope draw."""
     N = level_count(N)
@@ -446,18 +417,8 @@ def mean_width_mc(
     if not (n_dirs >= 1 and float(n_dirs).is_integer()):
         raise DomainError(f"n_dirs must be a positive integer, got {n_dirs!r}")
     n_dirs = int(n_dirs)
-    t0 = time.perf_counter()
-    args = [(body.p, body.n, body.normalized, N, n_dirs, seed, t) for t in range(trials)]
-    values = _parallel_map(_mean_width_trial, args, threads)
-    meta = {
-        "seed": seed,
-        "trials": trials,
-        "N": N,
-        "n_dirs": n_dirs,
-        "statistic": "mean-width",
-        "elapsed_s": time.perf_counter() - t0,
-    }
-    return _mc_report(values, orlicz_value, meta)
+    meta = {"seed": seed, "trials": trials, "N": N, "n_dirs": n_dirs, "statistic": "mean-width"}
+    return _mc_oracle(_mean_width_trial, (body, N, n_dirs, seed), threads, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +624,17 @@ def scaling_fit(rows: Sequence[tuple[int, float]], x_transform: str = "log-log-N
     return float(slope), r2
 
 
-def _scan_rows(N_grid, estimates, oracles) -> list[ScanRow]:
+def _scan(N_grid, estimates, oracle, trials: int, transform: str) -> ScanResult:
+    """Rows of each N's estimate beside oracle(N).mc_mean and their ratio
+    (no oracle run when trials is 0), and the growth-law fit of the
+    estimates under transform."""
     rows = []
-    for N, est, orc in zip(N_grid, estimates, oracles):
-        ratio = (orc / est) if (orc is not None and est) else None
-        rows.append(ScanRow(N=int(N), estimate=float(est), oracle=orc, ratio=ratio))
-    return rows
+    for N, est in zip(N_grid, estimates):
+        mc = oracle(int(N)).mc_mean if trials > 0 else None
+        ratio = (mc / est) if (mc is not None and est) else None
+        rows.append(ScanRow(N=int(N), estimate=float(est), oracle=mc, ratio=ratio))
+    exponent, r2 = scaling_fit(list(zip(N_grid, estimates)), transform)
+    return ScanResult(rows, exponent, r2, transform)
 
 
 def run_support_scan(
@@ -683,19 +649,11 @@ def run_support_scan(
     """Support-function law scan over N; fits log(est) vs log(log N)."""
     _check_grid(N_grid)
     estimates = _support_estimates(body, direction, [int(N) for N in N_grid], proj_samples, seed)
-    oracles = []
-    for N, est in zip(N_grid, estimates):
-        if trials > 0:
-            rep = expected_support_mc(
-                PolytopeExperiment(body, int(N), direction, trials, seed),
-                threads=threads,
-                orlicz_value=est,
-            )
-            oracles.append(rep.mc_mean)
-        else:
-            oracles.append(None)
-    exp_, r2 = scaling_fit(list(zip(N_grid, estimates)), "log-log-N")
-    return ScanResult(_scan_rows(N_grid, estimates, oracles), exp_, r2, "log-log-N")
+
+    def oracle(N: int) -> EstimateReport:
+        return expected_support_mc(PolytopeExperiment(body, N, direction, trials, seed), threads)
+
+    return _scan(N_grid, estimates, oracle, trials, "log-log-N")
 
 
 def run_mean_width_scan(
@@ -710,16 +668,11 @@ def run_mean_width_scan(
     """Mean-width law scan over N; fits est^2 vs log N."""
     _check_grid(N_grid)
     reports = mean_width_orlicz_report(body, list(N_grid), max(n_dirs, 100), seed, proj_samples)
-    estimates = [rep.value for rep in reports]
-    oracles = []
-    for N, est in zip(N_grid, estimates):
-        if trials > 0:
-            rep = mean_width_mc(body, int(N), trials, n_dirs, seed, threads, orlicz_value=est)
-            oracles.append(rep.mc_mean)
-        else:
-            oracles.append(None)
-    exp_, r2 = scaling_fit(list(zip(N_grid, estimates)), "log-N")
-    return ScanResult(_scan_rows(N_grid, estimates, oracles), exp_, r2, "log-N")
+
+    def oracle(N: int) -> EstimateReport:
+        return mean_width_mc(body, N, trials, n_dirs, seed, threads)
+
+    return _scan(N_grid, [rep.value for rep in reports], oracle, trials, "log-N")
 
 
 def _check_grid(N_grid) -> None:

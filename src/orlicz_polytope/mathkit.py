@@ -25,7 +25,6 @@ __all__ = [
     "QuadratureSpec",
     "SinCosParams",
     "DEFAULT_QUAD",
-    "log_gamma",
     "ball_volume",
     "ball_volume_log",
     "ball_volume_ratio",
@@ -110,13 +109,6 @@ class SinCosParams:
 
 # ---------------------------------------------------------------------------
 # special functions
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for positive real x."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0:
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
-
 
 def _check_p(p: float) -> None:
     if math.isnan(p) or p < 1.0:

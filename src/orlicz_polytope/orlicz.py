@@ -266,15 +266,7 @@ def m_spherical(n: int, s: float) -> float:
         raise DomainError("s must be nonnegative")
     if s <= 1.0:
         return 0.0
-    const = spherical_prefactor(n)
-    upper = math.acos(1.0 / s)
-
-    def f(y):
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.exp(n * np.log(np.sin(y)) - 2.0 * np.log(np.cos(y)))
-
-    return const * quad_adaptive(f, Interval(0.0, upper), _QUAD)
+    return spherical_prefactor(n) * _sin_cos_integral(n, 2, math.acos(1.0 / s))
 
 
 def spherical_prefactor(n: int) -> float:

@@ -44,6 +44,14 @@ class TestBodySpec:
         with pytest.raises(DomainError):
             BodySpec(math.nan, 3)
 
+    def test_dimension_is_a_positive_integer(self):
+        body = BodySpec(2.0, 3.0)
+        assert type(body.n) is int and body == BodySpec(2.0, 3)
+        assert type(BodySpec(2.0, np.int64(4)).n) is int
+        for n in (2.5, math.nan, math.inf, -math.inf, 0.0):
+            with pytest.raises(DomainError, match="n must be a positive integer"):
+                BodySpec(2.0, n)
+
     def test_normalized_volume_is_one(self):
         from orlicz_polytope.mathkit import ball_volume_log
 
@@ -63,6 +71,12 @@ class TestDirections:
         assert d.coords == pytest.approx([0.6, 0.8])
         e = Direction.canonical(4, 2)
         assert list(e.coords) == [0.0, 0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_coordinates(self, bad):
+        # a NaN norm fails no comparison, so it needs its own check
+        with pytest.raises(DomainError, match="finite"):
+            Direction(np.array([bad, 0.0, 0.0]))
 
 
 class TestScaleAndSupport:

@@ -171,7 +171,7 @@ class TestEstimateCommand:
     def test_with_mc(self, tmp_path):
         assert run(tmp_path, "estimate", "--p", "2", "--n", "4", "--N", "50", "--trials", "40", "--seed", "5") == 0
         report = read_json(tmp_path, "report.json")
-        assert report["ratio"] == pytest.approx(report["mc_mean"] / report["orlicz_value"], rel=1e-12)
+        assert report["ratio"] == report["mc_mean"] / report["orlicz_value"]
         csv_lines = (tmp_path / "out" / "report.csv").read_text().strip().split("\n")
         assert csv_lines[0] == "N,orlicz_value,mc_mean,ci_lo,ci_hi,ratio"
 

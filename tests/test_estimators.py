@@ -50,12 +50,11 @@ from orlicz_polytope.orlicz import (
 INF = math.inf
 
 
-def _held_cloud_trial(args):
+def _held_cloud_trial(body, N, n_dirs, seed, trial):
     """The mean-width trial as it was before it streamed its points: the
     whole cloud held, then the abs-max of its products with the directions."""
-    p, n, normalized, N, n_dirs, seed, trial = args
-    pts = sample_uniform(BodySpec(p, n, normalized), N, derive_seed(seed, "mw-pts", trial))
-    dirs = sample_sphere(n, n_dirs, derive_seed(seed, "mw-dirs", trial))
+    pts = sample_uniform(body, N, derive_seed(seed, "mw-pts", trial))
+    dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "mw-dirs", trial))
     supports = np.zeros(n_dirs)
     step = max(1, (1 << 22) // max(n_dirs, 1))
     for lo in range(0, N, step):
@@ -83,7 +82,7 @@ def _blas_threads_in(args):
 
     estimators._one_blas_thread = recording
     try:
-        trial(trial_args)
+        trial(*trial_args)
         after = [getter() for getter, _ in controls]
     finally:
         estimators._one_blas_thread = helper
@@ -152,7 +151,6 @@ class TestExpectedSupportMC:
         rep = expected_support_mc(exp)
         lo, hi = rep.mc_ci95
         assert lo <= 0.375 <= hi
-        assert rep.ratio is None  # no Orlicz value passed, none computed
 
     def test_cube_coordinate_independence(self):
         # same per-coordinate law in any dimension (N < n is fine here)
@@ -173,15 +171,15 @@ class TestExpectedSupportMC:
         for p, vec in ((2.0, [1.0, 0.0, 0.0, 0.0]), (1.5, [1.0, 2.0, -1.0, 3.0])):
             theta = Direction.from_vector(vec)
             for trial in range(5):
-                small = _support_trial((p, 4, True, 100, theta.coords, 11, trial))
-                large = _support_trial((p, 4, True, 400, theta.coords, 11, trial))
+                small = _support_trial(BodySpec(p, 4), theta, 100, 11, trial)
+                large = _support_trial(BodySpec(p, 4), theta, 400, 11, trial)
                 assert large >= small
 
     def test_parallel_matches_serial(self):
         for p, direction in ((1.0, 0), (1.5, [1.0, 2.0, -1.0])):
             exp = PolytopeExperiment(BodySpec(p, 3), 50, direction, mc_trials=12, seed=3)
-            a = expected_support_mc(exp, threads=1, orlicz_value=1.0)
-            b = expected_support_mc(exp, threads=3, orlicz_value=1.0)
+            a = expected_support_mc(exp, threads=1)
+            b = expected_support_mc(exp, threads=3)
             assert a.mc_mean == b.mc_mean
             assert a.mc_ci95 == b.mc_ci95
 
@@ -279,15 +277,15 @@ class TestMeanWidth:
     def test_polytope_monotone_in_N(self):
         # shared streams make the N' > N polytope contain the N one
         for trial in range(4):
-            small = _mean_width_trial((2.0, 2, True, 100, 64, 5, trial))
-            large = _mean_width_trial((2.0, 2, True, 300, 64, 5, trial))
+            small = _mean_width_trial(BodySpec(2.0, 2), 100, 64, 5, trial)
+            large = _mean_width_trial(BodySpec(2.0, 2), 300, 64, 5, trial)
             assert large >= small
 
     @pytest.mark.parametrize("p", [1.5, INF])
     def test_streamed_trial_matches_held_cloud(self, p):
         # max and min per direction give the abs-max exactly
-        args = (p, 30, True, 2 * (1 << 16) + 17, 100, 5, 3)
-        assert _mean_width_trial(args) == _held_cloud_trial(args)
+        args = (BodySpec(p, 30), 2 * (1 << 16) + 17, 100, 5, 3)
+        assert _mean_width_trial(*args) == _held_cloud_trial(*args)
 
     @pytest.mark.parametrize("p", [2.0, 1.5])
     def test_thread_invariance(self, p):
@@ -301,8 +299,8 @@ class TestMeanWidth:
     def test_one_blas_thread_in_mean_width_trials(self):
         if not estimators._blas_thread_controls():
             pytest.skip("no OpenBLAS with thread-count functions is loaded")
-        mw = (_mean_width_trial, (2.0, 30, True, 5000, 32, 1, 0))
-        sup = (_support_trial, (1.5, 30, True, 5000, np.full(30, 1.0 / math.sqrt(30)), 1, 0))
+        mw = (_mean_width_trial, (BodySpec(2.0, 30), 5000, 32, 1, 0))
+        sup = (_support_trial, (BodySpec(1.5, 30), Direction(np.full(30, 1.0 / math.sqrt(30))), 5000, 1, 0))
         # in pool workers and in this process alike: one thread while the
         # trial's products run, the caller's two again after it
         for inside, after in estimators._parallel_map(_blas_threads_in, [mw, mw], 2) + [_blas_threads_in(mw)]:
@@ -518,6 +516,35 @@ class TestSupportScan:
         assert all(a.estimate < b.estimate for a, b in zip(scan.rows, scan.rows[1:]))
 
 
+class TestScan:
+    GRID = (10, 100, 1000, 10**4)
+    ESTIMATES = [1.0, 1.5, 1.75, 2.125]
+
+    def test_ratio_is_oracle_over_estimate(self):
+        calls = []
+
+        def oracle(N):
+            calls.append(N)
+            return estimators.EstimateReport(mc_mean=0.1 * N**0.1, mc_ci95=(0.0, 1.0))
+
+        scan = estimators._scan(self.GRID, self.ESTIMATES, oracle, 2, "log-log-N")
+        assert calls == list(self.GRID)
+        for row, N, est in zip(scan.rows, self.GRID, self.ESTIMATES):
+            assert (row.N, row.estimate, row.oracle) == (N, est, 0.1 * N**0.1)
+            assert row.ratio == row.oracle / est
+        assert (scan.fitted_exponent, scan.fit_r2) == scaling_fit(list(zip(self.GRID, self.ESTIMATES)))
+        assert scan.transform == "log-log-N"
+
+    def test_no_oracle_without_trials(self):
+        def oracle(N):
+            raise AssertionError("trials = 0 must not run the oracle")
+
+        scan = estimators._scan(self.GRID, self.ESTIMATES, oracle, 0, "log-N")
+        assert all(row.oracle is None and row.ratio is None for row in scan.rows)
+        assert [row.estimate for row in scan.rows] == self.ESTIMATES
+        assert scan.transform == "log-N"
+
+
 class TestScalingFit:
     def test_exact_power_law(self):
         rows = [(N, math.log(N) ** (1.0 / 3.0)) for N in (10, 100, 1000, 10**4, 10**5)]
@@ -554,11 +581,8 @@ class TestTwoSidedEquivalence:
                 body = BodySpec(p, n)
                 for N in (100, 1000, 10**4):
                     est = expected_support_orlicz(body, 0, N)
-                    rep = expected_support_mc(
-                        PolytopeExperiment(body, N, 0, mc_trials=50, seed=31),
-                        orlicz_value=est,
-                    )
-                    ratios.append(rep.ratio)
+                    rep = expected_support_mc(PolytopeExperiment(body, N, 0, mc_trials=50, seed=31))
+                    ratios.append(rep.mc_mean / est)
                     assert est <= support_function(body, Direction.canonical(n, 0)) * (1 + 1e-9)
                     assert rep.mc_mean <= support_function(body, Direction.canonical(n, 0)) + 1e-12
         ratios = np.array(ratios)
