@@ -11,18 +11,18 @@ Random streams are numpy SFC64 generators, each seeded through a
 SeedSequence by a blake2b hash of (seed, path); every batch of work owns
 its stream, so results are reproducible regardless of chunking or
 parallelism.  The samplers fill their chunks on a thread pool sized by the
-process's CPU affinity, with one thread inside worker processes
-(_fill_threads); per-chunk results are combined in chunk order, so the
-thread count never shows in an output.
+process's CPU affinity, on one thread off the main thread, as in the MC
+trial threads (_fill_threads); per-chunk results are combined in chunk
+order, so the thread count never shows in an output.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -281,30 +281,35 @@ def _chunk_ranges(count: int):
 
 
 def _fill_threads(chunks: int) -> int:
-    """Threads that fill chunks: one inside a worker process (the MC pool of
-    estimators._parallel_map already spreads over the cores), else one per
-    core this process may run on, at most one per chunk."""
-    if multiprocessing.parent_process() is not None:
+    """Threads that fill chunks: one off the main thread (the MC trial
+    threads of estimators._mc_oracle already spread over the cores), else
+    one per core this process may run on, at most one per chunk."""
+    if threading.current_thread() is not threading.main_thread():
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(cores or 1, chunks)
+
+
+def _parallel_map(fn, items, threads: int) -> list:
+    """[fn(it) for it in items], on min(threads, len(items)) threads that
+    live only for this call, or on the caller's thread when that is one."""
+    workers = min(threads, len(items))
+    if workers <= 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _map_chunks(count: int, task) -> list:
     """[task(idx, start, size) for each chunk of _chunk_ranges(count)], in
     chunk order.
 
-    The tasks run on a thread pool of _fill_threads(chunks) threads that
-    lives only for this call, so no pool thread is alive at a fork.  The
-    generator fills and large ufuncs release the GIL, and every chunk owns
-    its streams, so the results do not depend on the number of threads.
+    The tasks run through _parallel_map on _fill_threads(chunks) threads.
+    The generator fills and large ufuncs release the GIL, and every chunk
+    owns its streams, so the results do not depend on the number of threads.
     """
     ranges = list(_chunk_ranges(count))
-    threads = _fill_threads(len(ranges))
-    if threads == 1:
-        return [task(*r) for r in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda r: task(*r), ranges))
+    return _parallel_map(lambda r: task(*r), ranges, _fill_threads(len(ranges)))
 
 
 def _map_points(body: BodySpec, count: int, seed: int, fn) -> list:
@@ -342,8 +347,8 @@ def project_uniform(body: BodySpec, theta: Direction, count: int, seed: int) -> 
     out = np.empty(count)
 
     def project(start, view):
-        # einsum, not BLAS: a BLAS product starts its own threads inside
-        # every MC worker process, where they spin for no gain
+        # einsum, not BLAS: a BLAS product starts its own threads beside
+        # the MC trial threads, where they spin for no gain
         out[start : start + len(view)] = np.einsum("ij,j->i", view, theta.coords)
 
     _map_points(body, count, seed, project)

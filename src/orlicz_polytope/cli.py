@@ -190,7 +190,7 @@ OPTIONS = {
     "seed": (int, dict(type=int, help=f"seed (default ${SEED_ENV} or 0)")),
     "trials": (int, dict(type=int, help="MC trials (0 disables MC, else at least 2)")),
     "dirs": (int, dict(type=int, help="sphere directions")),
-    "threads": (int, dict(type=int, help="worker processes for the MC trials")),
+    "threads": (int, dict(type=int, help="threads for the MC trials")),
     "out": (str, dict(help="output directory")),
     "r": (float, dict(type=float, help="direction-measure level")),
     "grid": (str, dict(help="validation grid 'p1 p2 ...; n1 n2 ...' ('' = error)")),

@@ -20,7 +20,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -32,6 +31,7 @@ from .bodies import (
     Direction,
     MarginalDensity,
     _map_points,
+    _parallel_map,
     coordinate_marginal,
     derive_seed,
     isotropic_constant,
@@ -102,8 +102,9 @@ class PolytopeExperiment:
 
     def __post_init__(self):
         object.__setattr__(self, "N", level_count(self.N))
-        if self.mc_trials < 2:
-            raise DomainError("mc_trials must be at least 2: one trial gives no confidence interval")
+        if not (self.mc_trials >= 2 and float(self.mc_trials).is_integer()):
+            raise DomainError(f"mc_trials must be an integer of at least 2, got {self.mc_trials!r}")
+        object.__setattr__(self, "mc_trials", int(self.mc_trials))
         if self.N < self.body.n:
             warnings.warn("N below the dimension: the polytope is degenerate", stacklevel=2)
 
@@ -346,8 +347,9 @@ def _one_blas_thread():
     block, at its own count again after it.
 
     The mean-width trial's products run on chunks that already have a core
-    each (the chunk fill threads, or the MC pool workers): a 4096 x 30 by
-    30 x 100 product took 8 ms on two BLAS threads and 1 ms on one."""
+    each (the chunk fill threads, or the MC trial threads): a 4096 x 30 by
+    30 x 100 product took 8 ms on two BLAS threads and 1 ms on one.  The
+    count is process-wide, so mean_width_mc enters this once for all trials."""
     controls = _blas_thread_controls()
     saved = [getter() for getter, _ in controls]
     for _, setter in controls:
@@ -371,23 +373,14 @@ def _mean_width_trial(body: BodySpec, N: int, n_dirs: int, seed: int, trial: int
             np.minimum(bottom, product.min(axis=0), out=bottom)
         return top, bottom
 
-    with _one_blas_thread():
-        tops, bottoms = zip(*_map_points(body, N, derive_seed(seed, "mw-pts", trial), extremes))
+    tops, bottoms = zip(*_map_points(body, N, derive_seed(seed, "mw-pts", trial), extremes))
     return float(np.maximum(np.max(tops, axis=0), -np.min(bottoms, axis=0)).mean())
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    # the fork start method starts every worker at once: start no idle ones
-    workers = min(threads, len(items))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
 def _mc_oracle(trial, args: tuple, threads: int, meta: dict) -> EstimateReport:
     """Mean and 95% CI of trial(*args, t) over the meta["trials"] trials t,
-    run through _parallel_map; meta gains their wall time as elapsed_s."""
+    run through _parallel_map (a trial's fills, ufuncs and BLAS products
+    release the GIL); meta gains their wall time as elapsed_s."""
     t0 = time.perf_counter()
     values = np.array(_parallel_map(functools.partial(trial, *args), range(meta["trials"]), threads))
     meta["elapsed_s"] = time.perf_counter() - t0
@@ -412,13 +405,15 @@ def mean_width_mc(
 ) -> EstimateReport:
     """Monte Carlo mean width: fresh sphere directions per polytope draw."""
     N = level_count(N)
-    if trials < 2:
-        raise DomainError("trials must be at least 2: one trial gives no confidence interval")
+    if not (trials >= 2 and float(trials).is_integer()):
+        raise DomainError(f"trials must be an integer of at least 2, got {trials!r}")
+    trials = int(trials)
     if not (n_dirs >= 1 and float(n_dirs).is_integer()):
         raise DomainError(f"n_dirs must be a positive integer, got {n_dirs!r}")
     n_dirs = int(n_dirs)
     meta = {"seed": seed, "trials": trials, "N": N, "n_dirs": n_dirs, "statistic": "mean-width"}
-    return _mc_oracle(_mean_width_trial, (body, N, n_dirs, seed), threads, meta)
+    with _one_blas_thread():
+        return _mc_oracle(_mean_width_trial, (body, N, n_dirs, seed), threads, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import contextlib
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from orlicz_polytope.bodies import (
     sample_uniform,
     support_function,
 )
-from orlicz_polytope import estimators
+from orlicz_polytope import bodies, estimators
 from orlicz_polytope.errors import DomainError, HypothesisError
 from orlicz_polytope.estimators import (
     PolytopeExperiment,
@@ -60,35 +62,6 @@ def _held_cloud_trial(body, N, n_dirs, seed, trial):
     for lo in range(0, N, step):
         np.maximum(supports, np.abs(pts[lo : lo + step] @ dirs.T).max(axis=0), out=supports)
     return float(supports.mean())
-
-
-def _blas_threads_in(args):
-    """The trial args[0] on args[1], with two threads set on every OpenBLAS
-    first: the thread counts the libraries read inside each one-thread
-    block the trial enters, and after the trial.  The counts found on entry
-    are set again on return."""
-    trial, trial_args = args
-    controls = estimators._blas_thread_controls()
-    saved = [getter() for getter, _ in controls]
-    for _, setter in controls:
-        setter(2)
-    inside, helper = [], estimators._one_blas_thread
-
-    @contextlib.contextmanager
-    def recording():
-        with helper():
-            inside.append([getter() for getter, _ in controls])
-            yield
-
-    estimators._one_blas_thread = recording
-    try:
-        trial(*trial_args)
-        after = [getter() for getter, _ in controls]
-    finally:
-        estimators._one_blas_thread = helper
-        for (_, setter), count in zip(controls, saved):
-            setter(count)
-    return inside, after
 
 
 def cube_inversion_formula(N):
@@ -183,6 +156,30 @@ class TestExpectedSupportMC:
             assert a.mc_mean == b.mc_mean
             assert a.mc_ci95 == b.mc_ci95
 
+    @pytest.mark.parametrize("direction", [0, [1.0, 2.0, -1.0, 0.5, 3.0, -2.0]])
+    def test_thread_invariance(self, monkeypatch, direction):
+        # two chunks per trial: two fill threads on the caller's thread, one
+        # in a trial thread; every trial runs in the caller's process, and
+        # frequent thread switches move no bit
+        exp = PolytopeExperiment(BodySpec(1.5, 6), 70000, direction, mc_trials=5, seed=8)
+        serial = expected_support_mc(exp, threads=1)
+        pids, trial = [], estimators._support_trial
+
+        def recording(*args):
+            pids.append(os.getpid())
+            return trial(*args)
+
+        monkeypatch.setattr(estimators, "_support_trial", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (1, 2, 3):
+                rep = expected_support_mc(exp, threads=threads)
+                assert (rep.mc_mean, rep.mc_ci95) == (serial.mc_mean, serial.mc_ci95)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pids == [os.getpid()] * 15
+
     @pytest.mark.parametrize(
         "p, direction, marginal",
         [
@@ -209,24 +206,17 @@ class TestExpectedSupportMC:
 
     @pytest.mark.parametrize("threads, workers", [(64, 10), (4, 4)])
     def test_pool_capped_at_trial_count(self, monkeypatch, threads, workers):
+        # min(threads, trials) threads: no idle thread is started
         started = []
 
-        class RecordingPool:
+        class RecordingPool(bodies.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+                super().__init__(max_workers=max_workers)
 
         exp = PolytopeExperiment(BodySpec(1.0, 3), 50, 0, mc_trials=10, seed=3)
         serial = expected_support_mc(exp, threads=1)
-        monkeypatch.setattr(estimators, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(bodies, "ThreadPoolExecutor", RecordingPool)
         assert expected_support_mc(exp, threads=threads).mc_mean == serial.mc_mean
         assert started == [workers]
 
@@ -236,6 +226,20 @@ class TestExpectedSupportMC:
             PolytopeExperiment(BodySpec(INF, 3), 2, 0, mc_trials=1, seed=0)
         with pytest.raises(DomainError):
             mean_width_mc(BodySpec(2.0, 3), 10, trials=1, n_dirs=4)
+
+    @pytest.mark.parametrize("trials", [2.5, math.nan, 1])
+    def test_trial_count_is_an_integer(self, trials):
+        match = "trials must be an integer of at least 2"
+        with pytest.raises(DomainError, match=match):
+            PolytopeExperiment(BodySpec(INF, 3), 2, 0, mc_trials=trials, seed=0)
+        with pytest.raises(DomainError, match=match):
+            mean_width_mc(BodySpec(2.0, 3), 10, trials=trials, n_dirs=4)
+
+    def test_integral_trial_count_is_stored_as_int(self):
+        exp = PolytopeExperiment(BodySpec(INF, 3), 3, 0, mc_trials=3.0, seed=0)
+        assert type(exp.mc_trials) is int and exp.mc_trials == 3
+        rep = mean_width_mc(BodySpec(2.0, 3), 10, trials=3.0, n_dirs=4)
+        assert rep.meta["trials"] == 3 and rep.mc_mean == mean_width_mc(BodySpec(2.0, 3), 10, 3, 4).mc_mean
 
     def test_warns_below_dimension(self):
         with pytest.warns(UserWarning):
@@ -290,24 +294,54 @@ class TestMeanWidth:
     @pytest.mark.parametrize("p", [2.0, 1.5])
     def test_thread_invariance(self, p):
         body = BodySpec(p, 6)
-        # two chunks per trial: two fill threads in this process, one in a worker
+        # two chunks per trial: two fill threads on the caller's thread, one
+        # in a trial thread
         serial = mean_width_mc(body, 70000, trials=5, n_dirs=16, seed=8, threads=1)
         for threads in (2, 3):
             rep = mean_width_mc(body, 70000, trials=5, n_dirs=16, seed=8, threads=threads)
             assert (rep.mc_mean, rep.mc_ci95) == (serial.mc_mean, serial.mc_ci95)
 
-    def test_one_blas_thread_in_mean_width_trials(self):
-        if not estimators._blas_thread_controls():
+    def test_one_blas_thread_in_mean_width_trials(self, monkeypatch):
+        controls = estimators._blas_thread_controls()
+        if not controls:
             pytest.skip("no OpenBLAS with thread-count functions is loaded")
-        mw = (_mean_width_trial, (BodySpec(2.0, 30), 5000, 32, 1, 0))
-        sup = (_support_trial, (BodySpec(1.5, 30), Direction(np.full(30, 1.0 / math.sqrt(30))), 5000, 1, 0))
-        # in pool workers and in this process alike: one thread while the
-        # trial's products run, the caller's two again after it
-        for inside, after in estimators._parallel_map(_blas_threads_in, [mw, mw], 2) + [_blas_threads_in(mw)]:
-            assert len(inside) == 1 and set(inside[0]) == {1} and set(after) == {2}
-        # the support trial uses no BLAS and never enters the helper
-        for inside, after in estimators._parallel_map(_blas_threads_in, [sup, sup], 2):
-            assert inside == [] and set(after) == {2}
+        saved = [getter() for getter, _ in controls]
+        read, entered = [], []
+        map_points, helper = estimators._map_points, estimators._one_blas_thread
+
+        def reading_map_points(body, count, seed, fn):
+            # the counts every chunk of a trial reads before its products run
+            def reading(start, view):
+                read.append({getter() for getter, _ in controls})
+                return fn(start, view)
+
+            return map_points(body, count, seed, reading)
+
+        @contextlib.contextmanager
+        def recording():
+            entered.append(True)
+            with helper():
+                yield
+
+        monkeypatch.setattr(estimators, "_map_points", reading_map_points)
+        monkeypatch.setattr(estimators, "_one_blas_thread", recording)
+        theta = Direction(np.full(30, 1.0 / math.sqrt(30)))
+        for _, setter in controls:
+            setter(2)
+        try:
+            for threads in (1, 2):
+                read.clear()
+                entered.clear()
+                # the caller enters the helper once, around every trial
+                mean_width_mc(BodySpec(2.0, 30), 70000, trials=4, n_dirs=32, seed=1, threads=threads)
+                assert entered == [True] and read == [{1}] * 8
+                assert {getter() for getter, _ in controls} == {2}
+                # the support trial uses no BLAS and never enters the helper
+                expected_support_mc(PolytopeExperiment(BodySpec(1.5, 30), 5000, theta, 4, 1), threads=threads)
+                assert entered == [True] and {getter() for getter, _ in controls} == {2}
+        finally:
+            for (_, setter), count in zip(controls, saved):
+                setter(count)
 
     def test_level_and_direction_counts(self):
         body = BodySpec(2.0, 3)
