@@ -1,4 +1,5 @@
-"""Normalized l_p balls: marginal section densities, support functions,
+"""Volume-1 l_p balls, the paper's isotropic position (a BodySpec has the
+two fields p and n): marginal section densities, support functions,
 isotropy diagnostics, and seeded uniform samplers.
 
 A uniform point of the volume-1 ball is scale * Y / (sum |Y_i|^p + E)^{1/p}
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, whole
 from .mathkit import DEFAULT_QUAD, Interval, ball_volume_log, quad_adaptive, quad_cumulative
 
 __all__ = [
@@ -94,19 +95,16 @@ def derive_seed(seed: int, *path) -> int:
 
 @dataclass(frozen=True)
 class BodySpec:
-    """An l_p ball in dimension n; normalized=True selects the volume-1 copy.
-    An integral n such as 3.0 is stored as the int 3."""
+    """The volume-1 l_p ball in dimension n.  An integral n such as 3.0 is
+    stored as the int 3."""
 
     p: float
     n: int
-    normalized: bool = True
 
     def __post_init__(self):
         if math.isnan(self.p) or self.p < 1.0:
             raise DomainError(f"p must satisfy 1 <= p <= inf, got {self.p!r}")
-        if not (self.n >= 1 and float(self.n).is_integer()):
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", whole(self.n, "n"))
 
 
 @dataclass(frozen=True)
@@ -143,9 +141,7 @@ class Direction:
 
 
 def normalization_scale(body: BodySpec) -> float:
-    """Coordinate half-width of the body: |B_p^n|^{-1/n} when normalized."""
-    if not body.normalized:
-        return 1.0
+    """Coordinate half-width of the body: |B_p^n|^{-1/n}."""
     if math.isinf(body.p):
         return 0.5
     return math.exp(-ball_volume_log(body.p, body.n) / body.n)
@@ -212,13 +208,11 @@ class MarginalDensity:
 
 def coordinate_marginal(body: BodySpec) -> MarginalDensity:
     """MarginalDensity for a canonical basis direction: the section volume
-    |K ∩ {x_j = t}| of the normalized body, any axis j."""
-    if not body.normalized:
-        raise DomainError("coordinate marginals are defined for normalized bodies")
+    |K ∩ {x_j = t}| of the body, any axis j."""
     p, n = body.p, body.n
     radius = normalization_scale(body)
     if math.isinf(p) or n == 1:
-        # uniform density 1 on [-radius, radius] (radius = 1/2 when normalized)
+        # uniform density 1 on [-radius, radius] (radius = 1/2 for the cube)
         def section(tt):
             return np.where(tt <= radius, 1.0, 0.0)
     else:
@@ -245,8 +239,7 @@ def marginal_general(
     seed: int,
 ) -> MarginalDensity:
     """Empirical even marginal from |<X_i, theta>| with Freedman-Diaconis bins."""
-    if samples < 10_000:
-        raise DomainError("marginal_general requires at least 1e4 samples")
+    samples = whole(samples, "samples", 10_000)
     proj = np.abs(project_uniform(body, theta, samples, seed))
     top = float(proj.max())
     q75, q25 = np.percentile(proj, [75.0, 25.0])
@@ -331,8 +324,7 @@ def sample_uniform(body: BodySpec, count: int, seed: int) -> np.ndarray:
     Streams are derived per chunk, so the first k points of a larger draw
     coincide with a smaller draw from the same seed.
     """
-    if count < 1:
-        raise DomainError("count must be positive")
+    count = whole(count, "count")
     pts = np.empty((count, body.n))
     _map_chunks(count, lambda idx, start, size: _fill_chunk(body, pts[start : start + size], seed, idx))
     return pts
@@ -342,8 +334,7 @@ def project_uniform(body: BodySpec, theta: Direction, count: int, seed: int) -> 
     """<X_i, theta> for uniform X_i: the points of sample_uniform(body,
     count, seed) are filled and projected chunk by chunk, on the process's
     cores, so only one chunk of points per thread is held."""
-    if count < 1:
-        raise DomainError("count must be positive")
+    count = whole(count, "count")
     out = np.empty(count)
 
     def project(start, view):
@@ -357,8 +348,7 @@ def project_uniform(body: BodySpec, theta: Direction, count: int, seed: int) -> 
 
 def sample_norms(body: BodySpec, count: int, seed: int) -> np.ndarray:
     """Euclidean norms of uniform points, computed chunkwise."""
-    if count < 1:
-        raise DomainError("count must be positive")
+    count = whole(count, "count")
     out = np.empty(count)
 
     def norms(start, view):
@@ -441,8 +431,7 @@ def sample_coordinate(body: BodySpec, count: int, seed: int) -> np.ndarray:
     sample_uniform, so the first k values of a larger draw coincide with a
     draw of k.
     """
-    if count < 1:
-        raise DomainError("count must be positive")
+    count = whole(count, "count")
     p, n = body.p, body.n
     scale = normalization_scale(body)
     out = np.empty(count)
@@ -482,8 +471,7 @@ def marginal_ks(body: BodySpec, sample: np.ndarray) -> float:
 
 def sample_sphere(n: int, count: int, seed: int) -> np.ndarray:
     """count i.i.d. uniform directions on S^{n-1}, one unit row each."""
-    if n < 1 or count < 1:
-        raise DomainError("n and count must be positive")
+    n, count = whole(n, "n"), whole(count, "count")
     out = np.empty((count, n))
 
     def fill(idx, start, size):
@@ -514,10 +502,7 @@ class IsotropyReport:
 
 def isotropy_report(body: BodySpec, samples: int, seed: int) -> IsotropyReport:
     """Sample estimates of the barycenter, covariance and isotropic constant."""
-    if not body.normalized:
-        raise DomainError("isotropy diagnostics assume the volume-1 body")
-    if samples < 1:
-        raise DomainError("samples must be positive")
+    samples = whole(samples, "samples")
     n = body.n
     sum_x = np.zeros(n)
     sum_xx = np.zeros((n, n))

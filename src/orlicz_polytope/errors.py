@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and whole, the one rule for
+every count (N, n, trials, samples, directions, depths): an integral float
+such as 1e3 passes as an int, anything else raises DomainError (CLI exit 3)."""
 
 
 class DomainError(ValueError):
@@ -36,3 +38,12 @@ class HypothesisError(ValueError):
 
 class EstimationError(RuntimeError):
     """Empirical estimation impossible (degenerate sample)."""
+
+
+def whole(value, name: str, least: int = 1) -> int:
+    """value as an int when it is an integer no smaller than least (an
+    integral float such as 1e3 passes); DomainError naming it otherwise."""
+    if not (value >= least and float(value).is_integer()):
+        rule = "a positive integer" if least == 1 else f"an integer of at least {least}"
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
+    return int(value)

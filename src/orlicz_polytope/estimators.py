@@ -41,7 +41,7 @@ from .bodies import (
     sample_sphere,
     sample_uniform,
 )
-from .errors import DomainError, HypothesisError
+from .errors import DomainError, HypothesisError, whole
 from .mathkit import bracket, brent, quad_cumulative
 from .orlicz import (
     OrliczFunction,
@@ -49,7 +49,6 @@ from .orlicz import (
     from_empirical,
     from_tail,
     invert_for_support,
-    level_count,
     spherical_prefactor,
 )
 
@@ -101,10 +100,8 @@ class PolytopeExperiment:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "N", level_count(self.N))
-        if not (self.mc_trials >= 2 and float(self.mc_trials).is_integer()):
-            raise DomainError(f"mc_trials must be an integer of at least 2, got {self.mc_trials!r}")
-        object.__setattr__(self, "mc_trials", int(self.mc_trials))
+        object.__setattr__(self, "N", whole(self.N, "N"))
+        object.__setattr__(self, "mc_trials", whole(self.mc_trials, "mc_trials", 2))
         if self.N < self.body.n:
             warnings.warn("N below the dimension: the polytope is degenerate", stacklevel=2)
 
@@ -165,18 +162,20 @@ class DirectionScan:
 
 
 def _resolve_direction(body: BodySpec, direction) -> Direction:
-    if isinstance(direction, Direction):
-        if direction.coords.size != body.n:
-            raise DomainError("direction dimension does not match the body")
-        return direction
     if isinstance(direction, (int, np.integer)):
-        return Direction.canonical(body.n, int(direction))
-    return Direction.from_vector(np.asarray(direction, dtype=float))
+        direction = Direction.canonical(body.n, int(direction))
+    elif not isinstance(direction, Direction):
+        direction = Direction.from_vector(np.asarray(direction, dtype=float))
+    if direction.coords.size != body.n:
+        raise DomainError("direction dimension does not match the body")
+    return direction
 
 
-def _is_canonical(theta: Direction) -> bool:
+def _coordinate_law(body: BodySpec, theta: Direction) -> bool:
+    """Whether <X, theta> has the law of the first coordinate: for p = 2,
+    and on an axis (either sign)."""
     c = theta.coords
-    return int(np.count_nonzero(c)) == 1 and abs(abs(float(c[np.nonzero(c)[0][0]])) - 1.0) < 1e-12
+    return body.p == 2.0 or (np.count_nonzero(c) == 1 and abs(np.abs(c).max() - 1.0) < 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +202,7 @@ def _direction_atoms(body: BodySpec, direction, proj_samples: int, seed: int) ->
     or None where the exact coordinate marginal serves (canonical axes, and
     p = 2 in every direction)."""
     theta = _resolve_direction(body, direction)
-    if not body.normalized:
-        raise DomainError("Orlicz constructions assume the volume-1 body")
-    if body.p == 2.0 or _is_canonical(theta):
+    if _coordinate_law(body, theta):
         return None
     return project_uniform(body, theta, proj_samples, derive_seed(seed, "marginal"))
 
@@ -251,7 +248,7 @@ def direction_support_profile(
     norms = np.linalg.norm(dirs, axis=-1)
     if dirs.ndim != 2 or dirs.shape[1] != body.n or not np.all(np.abs(norms - 1.0) <= 1e-12):
         raise DomainError("direction rows must be unit vectors of length n (|norm - 1| <= 1e-12)")
-    levels = [level_count(level) for level in np.atleast_1d(N)]
+    levels = [whole(level, "N") for level in np.atleast_1d(N)]
     out = np.empty((len(levels), dirs.shape[0]))
     if body.p == 2.0:
         M = from_tail(coordinate_marginal(body))
@@ -289,8 +286,7 @@ def mean_width_orlicz_report(
         M = from_tail(coordinate_marginal(body))
         reports = [MCValue(invert_for_support(M, level), 0.0, 1, seed) for level in levels]
     else:
-        if n_dirs < 100:
-            raise DomainError("the Orlicz mean width needs n_dirs >= 100")
+        n_dirs = whole(n_dirs, "n_dirs", 100)
         dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "mw-dirs"))
         values = direction_support_profile(body, dirs, levels, derive_seed(seed, "mw-cloud"), proj_samples)
         reports = [
@@ -305,8 +301,7 @@ def mean_width_orlicz_report(
 
 def _support_trial(body: BodySpec, theta: Direction, N: int, seed: int, trial: int) -> float:
     trial_seed = derive_seed(seed, "esup", trial)
-    if body.p == 2.0 or _is_canonical(theta):
-        # <X, theta> has the law of the first coordinate: draw it directly
+    if _coordinate_law(body, theta):
         proj = sample_coordinate(body, N, trial_seed)
     else:
         proj = project_uniform(body, theta, N, trial_seed)
@@ -404,13 +399,7 @@ def mean_width_mc(
     threads: int = 1,
 ) -> EstimateReport:
     """Monte Carlo mean width: fresh sphere directions per polytope draw."""
-    N = level_count(N)
-    if not (trials >= 2 and float(trials).is_integer()):
-        raise DomainError(f"trials must be an integer of at least 2, got {trials!r}")
-    trials = int(trials)
-    if not (n_dirs >= 1 and float(n_dirs).is_integer()):
-        raise DomainError(f"n_dirs must be a positive integer, got {n_dirs!r}")
-    n_dirs = int(n_dirs)
+    N, trials, n_dirs = whole(N, "N"), whole(trials, "trials", 2), whole(n_dirs, "n_dirs")
     meta = {"seed": seed, "trials": trials, "N": N, "n_dirs": n_dirs, "statistic": "mean-width"}
     with _one_blas_thread():
         return _mc_oracle(_mean_width_trial, (body, N, n_dirs, seed), threads, meta)
@@ -453,8 +442,7 @@ def sphere_average_m(body: BodySpec, s: float, samples: int, seed: int = 0) -> M
     evaluated at ||x||_2 / s (zero where the norm falls below s)."""
     if not s > 0:
         raise DomainError("s must be positive")
-    if samples < 2:
-        raise DomainError("need at least two samples")
+    samples = whole(samples, "samples", 2)
     norms = np.sort(sample_norms(body, samples, derive_seed(seed, "sphavg")))
     values = _spherical_values(body.n, norms, s)
     return MCValue(
@@ -473,8 +461,7 @@ def solve_tilde_s(body: BodySpec, N: int, samples: int, seed: int = 0) -> float:
     deterministic and decreasing in s.  Returns the midpoint of the final
     bracket, whose relative width is at most 1e-6.
     """
-    if N < 2:
-        raise DomainError("N must be at least 2")
+    N, samples = whole(N, "N", 2), whole(samples, "samples", 2)
     norms = np.sort(sample_norms(body, samples, derive_seed(seed, "tilde-s")))
     level = 1.0 / N
 
@@ -517,8 +504,7 @@ def general_upper_bound(marginal: MarginalDensity, N: int) -> float:
     if marginal.body is None:
         raise DomainError("the marginal must reference its body")
     n = marginal.body.n
-    if N < 1:
-        raise DomainError("N must be positive")
+    N = whole(N, "N")
     drop = _PROFILE_ALPHA * math.log(N) / n
     if drop >= 1.0:
         raise DomainError(f"{_PROFILE_ALPHA:g} log(N) must stay below n")
@@ -559,8 +545,7 @@ def direction_measure_scan(
     or below (resp. at or above) them, reported next to the orders the
     two-sided theory predicts for level r.
     """
-    if n_dirs < 1000:
-        raise DomainError("direction scans need n_dirs >= 1000")
+    n_dirs = whole(n_dirs, "n_dirs", 1000)
     if not r > 0:
         raise DomainError("r must be positive")
     dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "scan-dirs"))
@@ -674,7 +659,7 @@ def _check_grid(N_grid) -> None:
     if len(N_grid) < 4:
         raise DomainError("scans need an N-grid with at least 4 points")
     for N in N_grid:
-        level_count(N)
+        whole(N, "N")
     arr = np.asarray(N_grid)
     if np.any(np.diff(arr) <= 0):
         raise DomainError("the N-grid must be strictly increasing")

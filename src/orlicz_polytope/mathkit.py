@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, DegenerateParameterError, DomainError, RangeError
+from .errors import AccuracyError, DegenerateParameterError, DomainError, RangeError, whole
 
 __all__ = [
     "Interval",
@@ -68,8 +68,7 @@ class QuadratureSpec:
             raise DomainError("rel_tol must be positive")
         if self.abs_tol < 0:
             raise DomainError("abs_tol must be nonnegative")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be at least 1")
+        object.__setattr__(self, "max_depth", whole(self.max_depth, "max_depth"))
 
     def tighter(self) -> "QuadratureSpec":
         """Spec for the inner integral of a nested quadrature: a tenth of
@@ -103,8 +102,7 @@ class SinCosParams:
             raise DomainError("alpha and beta must be finite")
         if not (0.0 <= self.upper < math.pi / 2):
             raise DomainError("upper must lie in [0, pi/2)")
-        if self.k < 0:
-            raise DomainError("recursion depth k must be nonnegative")
+        object.__setattr__(self, "k", whole(self.k, "k", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +121,7 @@ def ball_volume_log(p: float, n: int) -> float:
     is the cube, handled as an explicit branch.
     """
     _check_p(p)
-    if n < 1 or int(n) != n:
-        raise DomainError(f"dimension n must be a positive integer, got {n!r}")
+    n = whole(n, "n")
     if math.isinf(p):
         return n * _LOG2
     return n * (_LOG2 + math.lgamma(1.0 + 1.0 / p)) - math.lgamma(1.0 + n / p)
@@ -137,8 +134,7 @@ def ball_volume(p: float, n: int) -> float:
 
 def ball_volume_ratio(p: float, n: int) -> float:
     """|B_p^{n-1}| / |B_p^n|, asymptotically of order n^{1/p}."""
-    if n < 2:
-        raise DomainError("ball_volume_ratio requires n >= 2")
+    n = whole(n, "n", 2)
     if math.isinf(p):
         return 0.5
     return math.exp(ball_volume_log(p, n - 1) - ball_volume_log(p, n))

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bodies import BodySpec, MarginalDensity, coordinate_marginal, normalization_scale
-from .errors import DomainError, EstimationError, RangeError
+from .errors import DomainError, EstimationError, RangeError, whole
 from .mathkit import (
     DEFAULT_QUAD,
     Interval,
@@ -141,13 +141,12 @@ def m_from_tail_alt(marginal: MarginalDensity, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed-form representations for coordinate marginals of normalized l_p balls
+# closed-form representations for coordinate marginals of volume-1 l_p balls
 
 def _pball_setup(p: float, n: int, s: float):
     if math.isinf(p) or p < 1.0:
         raise DomainError("closed forms require 1 <= p < inf")
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    n = whole(n, "n")
     if not s > 0:
         raise DomainError("s must be positive")
     radius = math.exp(-ball_volume_log(p, n) / n)
@@ -192,7 +191,7 @@ def _double_radial(p: float, theta_max: float, power: float, m_exp: float) -> fl
 
 
 def m_pball_first(p: float, n: int, s: float) -> float:
-    """M(1/s) for the coordinate marginal of the normalized l_p ball,
+    """M(1/s) for the coordinate marginal of the volume-1 l_p ball,
     first closed-form representation (0 for s at or beyond the support)."""
     radius, theta_max, ratio = _pball_setup(p, n, s)
     if theta_max is None:
@@ -260,8 +259,7 @@ def m_spherical(n: int, s: float) -> float:
     Zero for s <= 1; otherwise (2 w_{n-1} / (n w_n)) times the integral of
     sin^n y / cos^2 y over [0, arccos(1/s)].
     """
-    if n < 2:
-        raise DomainError("the sphere marginal needs n >= 2")
+    n = whole(n, "n", 2)
     if not s >= 0:
         raise DomainError("s must be nonnegative")
     if s <= 1.0:
@@ -302,7 +300,7 @@ def from_cube() -> OrliczFunction:
 
 
 def from_pball(p: float, n: int) -> OrliczFunction:
-    """Closed-form coordinate Orlicz function of the normalized l_p ball,
+    """Closed-form coordinate Orlicz function of the volume-1 l_p ball,
     through the representation with the fewest quadratures for the given p:
     the second (pure closed form for p = 1) below p = 2, else the first
     (a single integral for p = 2)."""
@@ -381,7 +379,7 @@ def empirical_roots(atoms: np.ndarray, N: int) -> np.ndarray:
     maximum.  Only the top L + 1 values of a row are partitioned out and
     sorted; L grows for the rows whose root needs more of them.
     """
-    N = level_count(N)
+    N = whole(N, "N")
     v = np.abs(np.atleast_2d(np.asarray(atoms, dtype=float)))
     rows, total = v.shape
     if total == 0:
@@ -481,14 +479,6 @@ def dual_involution_error(M: OrliczFunction, ts: Sequence[float]) -> float:
     return err / max(M.eval(ts[-1]), 1.0)
 
 
-def level_count(N) -> int:
-    """N as an int: the number of vertex pairs, so a positive integer (an
-    integral float such as 1e3 passes); DomainError otherwise."""
-    if not (N >= 1 and float(N).is_integer()):
-        raise DomainError(f"N must be a positive integer, got {N!r}")
-    return int(N)
-
-
 def _norm(weighted: list[tuple[float, int]], M: OrliczFunction, rel_tol: float) -> float:
     """inf{rho > 0 : sum_k c_k M(a_k / rho) <= 1} over the pairs (a_k, c_k)
     of positive value and multiplicity, M read once per pair and step: the
@@ -527,7 +517,7 @@ def luxemburg_norm(x: Sequence[float], M: OrliczFunction) -> float:
 def invert_for_support(M: OrliczFunction, N: int) -> float:
     """inf{s > 0 : M(1/s) <= 1/N}, the support-function estimate at level N:
     the Luxemburg norm of (1, ..., 1) in R^N, to a relative width of 1e-9."""
-    return _norm([(1.0, level_count(N))], M, _INVERT_REL_TOL)
+    return _norm([(1.0, whole(N, "N"))], M, _INVERT_REL_TOL)
 
 
 # Fractions of the support radius used by the cross-representation checks.

@@ -116,6 +116,20 @@ class TestExpectedSupportOrlicz:
         got = expected_support_orlicz(body, theta, 100, proj_samples=10**5, seed=8)
         assert 0 < got <= support_function(body, theta)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("direction", [[1.0, 1.0], Direction.from_vector([1.0, 1.0])])
+    def test_direction_dimension_must_match(self, p, direction):
+        # a raw vector is held to the body's dimension like a Direction, on
+        # the exact-law path (p = 2) and the projection path (p = 1.5)
+        body = BodySpec(p, 5)
+        match = "direction dimension does not match the body"
+        with pytest.raises(DomainError, match=match):
+            expected_support_orlicz(body, direction, 100, proj_samples=1000)
+        with pytest.raises(DomainError, match=match):
+            expected_support_mc(PolytopeExperiment(body, 100, direction, mc_trials=2))
+        with pytest.raises(DomainError, match=match):
+            run_support_scan(body, direction, [100, 200, 300, 400], trials=2, proj_samples=1000)
+
 
 class TestExpectedSupportMC:
     def test_interval_order_statistics(self):
