@@ -133,7 +133,8 @@ class Direction:
 
     @classmethod
     def canonical(cls, n: int, axis: int = 0) -> "Direction":
-        if not 0 <= axis < n:
+        axis = whole(axis, "axis", 0)
+        if axis >= n:
             raise DomainError(f"axis {axis} outside dimension {n}")
         v = np.zeros(n)
         v[axis] = 1.0
@@ -422,14 +423,16 @@ def sample_coordinate(body: BodySpec, count: int, seed: int) -> np.ndarray:
     law without building the points.
 
     By the representation _fill_chunk uses (module docstring), the first
-    coordinate is scale * eps * (G_1 / (G_1 + G_2))^{1/p} with G_1 =
-    |Y_1|^p ~ Gamma(1/p), G_2 ~ Gamma((n-1)/p + 1) and a random sign eps,
-    whether Y_1 is a N(0, 1/2) normal (p = 2) or built from a Gamma and a
-    uniform variate: three variates per point instead of n + 1 or 2n + 1.
-    Every axis, either sign and, for p = 2, every unit direction have this
-    law.  Streams are derived per chunk as in
-    sample_uniform, so the first k values of a larger draw coincide with a
-    draw of k.
+    coordinate is scale * Y_1 / (|Y_1|^p + G_2)^{1/p} with G_2 ~
+    Gamma((n-1)/p + 1).  As in _fill_chunk, Y_1 is a N(0, 1/2) normal for
+    p = 2 and H^{1/p} V otherwise, H ~ Gamma(1 + 1/p) and V ~ U(-1, 1), so
+    x = scale * V / (|V|^p + G_2 / H)^{1/p}: no Gamma shape below 1, whose
+    numpy loop is slow.  p = 1 draws G_1 = |Y_1| ~ Gamma(1), which numpy
+    draws as the exponential, and a random sign.  That is two variates per
+    point for p = 2 and three for other finite p, instead of n + 1 or
+    2n + 1.  Every axis, either sign and, for p = 2, every unit direction
+    have this law.  Streams are derived per chunk as in sample_uniform, so
+    the first k values of a larger draw coincide with a draw of k.
     """
     count = whole(count, "count")
     p, n = body.p, body.n
@@ -441,10 +444,29 @@ def sample_coordinate(body: BodySpec, count: int, seed: int) -> np.ndarray:
         if math.isinf(p):
             view[:] = scale * (2.0 * stream(seed, "cube-coord", idx).random(size) - 1.0)
             return
-        g1 = stream(seed, "gamma-coord", idx).standard_gamma(1.0 / p, size)
         g2 = stream(seed, "gamma-rest", idx).standard_gamma((n - 1) / p + 1.0, size)
-        signs = np.where(stream(seed, "sign-coord", idx).random(size) < 0.5, -1.0, 1.0)
-        view[:] = scale * signs * (g1 / (g1 + g2)) ** (1.0 / p)
+        if p == 1.0:
+            g1 = stream(seed, "gamma-coord", idx).standard_gamma(1.0, size)
+            signs = np.where(stream(seed, "sign-coord", idx).random(size) < 0.5, -1.0, 1.0)
+            view[:] = scale * signs * (g1 / (g1 + g2))
+            return
+        if p == 2.0:
+            y = stream(seed, "normal-coord", idx).standard_normal(size)
+            y *= math.sqrt(0.5)
+            radial = y * y
+            radial += g2
+            np.sqrt(radial, out=radial)
+        else:
+            y = stream(seed, "unif-coord", idx).random(size)
+            y *= 2.0
+            y -= 1.0
+            g2 /= stream(seed, "gamma-coord", idx).standard_gamma(1.0 + 1.0 / p, size)
+            radial = np.abs(y)
+            radial **= p
+            radial += g2
+            radial **= 1.0 / p
+        np.divide(y, radial, out=view)
+        view *= scale
 
     _map_chunks(count, fill)
     return out

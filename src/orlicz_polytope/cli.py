@@ -43,7 +43,7 @@ from .orlicz import (
     representation_spread,
 )
 
-RNG_ALGORITHM = "sfc64/seedsequence-of-blake2b-streams"
+RNG_ALGORITHM = "sfc64/seedsequence-of-blake2b-streams/coordinate-law-2"
 SEED_ENV = "ORLICZ_POLYTOPE_SEED"
 
 

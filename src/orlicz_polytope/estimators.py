@@ -282,11 +282,11 @@ def mean_width_orlicz_report(
     The stderr leaves out the projection error of the one cloud, which all
     directions share; that belongs to a per-estimate orlicz_stderr (ROADMAP)."""
     levels = np.atleast_1d(N)
+    n_dirs = whole(n_dirs, "n_dirs", 100)
     if body.p == 2.0:
         M = from_tail(coordinate_marginal(body))
         reports = [MCValue(invert_for_support(M, level), 0.0, 1, seed) for level in levels]
     else:
-        n_dirs = whole(n_dirs, "n_dirs", 100)
         dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "mw-dirs"))
         values = direction_support_profile(body, dirs, levels, derive_seed(seed, "mw-cloud"), proj_samples)
         reports = [
@@ -305,7 +305,7 @@ def _support_trial(body: BodySpec, theta: Direction, N: int, seed: int, trial: i
         proj = sample_coordinate(body, N, trial_seed)
     else:
         proj = project_uniform(body, theta, N, trial_seed)
-    return float(np.max(np.abs(proj)))
+    return float(max(proj.max(), -proj.min()))  # no abs copy of the N values
 
 
 @functools.cache

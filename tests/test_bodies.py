@@ -279,19 +279,37 @@ def _whole_chunk_fill(body, view, seed, idx):
     view *= radial[:, None]
 
 
+def _previous_coordinate(body, seed, idx, size):
+    """One chunk of the coordinate sampler as drawn before p = 2 used a
+    normal and other p != 1 a Gamma(1 + 1/p) and a uniform: G_1 ~
+    Gamma(1/p) and a random sign.  p = 1 and the cube still draw this."""
+    p, n = body.p, body.n
+    scale = normalization_scale(body)
+    if math.isinf(p):
+        return scale * (2.0 * stream(seed, "cube-coord", idx).random(size) - 1.0)
+    g1 = stream(seed, "gamma-coord", idx).standard_gamma(1.0 / p, size)
+    g2 = stream(seed, "gamma-rest", idx).standard_gamma((n - 1) / p + 1.0, size)
+    signs = np.where(stream(seed, "sign-coord", idx).random(size) < 0.5, -1.0, 1.0)
+    return scale * signs * (g1 / (g1 + g2)) ** (1.0 / p)
+
+
 def _whole_chunk_coordinate(body, count, seed):
     p, n = body.p, body.n
     scale = normalization_scale(body)
     out = np.empty(count)
     for idx, start, size in bodies._chunk_ranges(count):
         view = out[start : start + size]
-        if math.isinf(p):
-            view[:] = scale * (2.0 * stream(seed, "cube-coord", idx).random(size) - 1.0)
+        if p in (1.0, INF):
+            view[:] = _previous_coordinate(body, seed, idx, size)
             continue
-        g1 = stream(seed, "gamma-coord", idx).standard_gamma(1.0 / p, size)
         g2 = stream(seed, "gamma-rest", idx).standard_gamma((n - 1) / p + 1.0, size)
-        signs = np.where(stream(seed, "sign-coord", idx).random(size) < 0.5, -1.0, 1.0)
-        view[:] = scale * signs * (g1 / (g1 + g2)) ** (1.0 / p)
+        if p == 2.0:
+            y = math.sqrt(0.5) * stream(seed, "normal-coord", idx).standard_normal(size)
+            view[:] = scale * (y / np.sqrt(y * y + g2))
+        else:
+            h = stream(seed, "gamma-coord", idx).standard_gamma(1.0 + 1.0 / p, size)
+            v = 2.0 * stream(seed, "unif-coord", idx).random(size) - 1.0
+            view[:] = scale * (v / (np.abs(v) ** p + g2 / h) ** (1.0 / p))
     return out
 
 
@@ -331,6 +349,17 @@ class TestChunkFills:
             want[start : start + size] = g / np.linalg.norm(g, axis=1)[:, None]
         assert np.array_equal(sample_sphere(n, count, seed), want)
 
+    @pytest.mark.parametrize("p, values", [
+        (1.0, ["0x1.ceeb8becdfc18p-4", "0x1.9ea612069546cp-2", "-0x1.70b3accf560d1p-4"]),
+        (INF, ["0x1.9fe29eec6bb4cp-3", "0x1.90755a791d200p-4", "-0x1.46db051363da2p-2"]),
+    ])
+    def test_coordinate_pinned_values(self, p, values):
+        # p = 1 (criterion 4's narrow band) and the cube draw what they drew
+        # before p = 2 took a normal and other p a Gamma(1 + 1/p) and a
+        # uniform; the chunk test checks every value against that formula
+        x = sample_coordinate(BodySpec(p, 5), bodies._CHUNK + 1, 41)
+        assert [x[0], x[1], x[bodies._CHUNK]] == [float.fromhex(v) for v in values]
+
     def test_one_fill_thread_in_mc_workers(self):
         chunks = 5
         assert bodies._fill_threads(chunks) == min(len(os.sched_getaffinity(0)), chunks)
@@ -345,7 +374,7 @@ class TestKolmogorovSmirnov:
         key = int(p * 10) if not math.isinf(p) else -1
         assert coordinate_ks(BodySpec(p, n), m, derive_seed(17, "ks", key, n)) <= 2.0 * 1.63 / math.sqrt(m)
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 6.0, INF])
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, INF])
     @pytest.mark.parametrize("n", [2, 10, 50])
     def test_coordinate_sampler_ks(self, p, n):
         # the marginal sampler against the same CDF, at criterion 10's band

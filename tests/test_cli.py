@@ -139,17 +139,20 @@ class TestConfigParsing:
         assert (tmp_path / "out" / "report.json").read_bytes() == report
 
     def test_manifest_of_another_rng_exit_2(self, tmp_path, capsys):
-        # its samples would differ, so it cannot replay byte for byte
+        # its samples would differ, so it cannot replay byte for byte: the
+        # Philox streams, and the SFC64 ones from before the coordinate
+        # sampler drew p != 1 from a normal or a Gamma(1 + 1/p) and a uniform
         args = ["estimate", "--p", "1.5", "--n", "10", "--N", "1000", "--trials", "0"]
         assert run(tmp_path, *args) == 0
         manifest = read_json(tmp_path, "manifest.json")
-        manifest["rng_algorithm"] = "philox4x64/blake2b-derived-streams"
-        old = tmp_path / "old_manifest.json"
-        old.write_text(json.dumps(manifest))
-        capsys.readouterr()
-        assert run(tmp_path, "estimate", "--config", str(old)) == 2
-        err = capsys.readouterr().err
-        assert "philox4x64/blake2b-derived-streams" in err and RNG_ALGORITHM in err
+        for rng in ("philox4x64/blake2b-derived-streams", "sfc64/seedsequence-of-blake2b-streams"):
+            manifest["rng_algorithm"] = rng
+            old = tmp_path / "old_manifest.json"
+            old.write_text(json.dumps(manifest))
+            capsys.readouterr()
+            assert run(tmp_path, "estimate", "--config", str(old)) == 2
+            err = capsys.readouterr().err
+            assert repr(rng) in err and repr(RNG_ALGORITHM) in err
 
 
 class TestSerialization:

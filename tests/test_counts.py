@@ -69,6 +69,7 @@ ENTRIES = [
     ("project_uniform", "count", 1, lambda v: project_uniform(BODY, AXIS, v, 5), 1000),
     ("sample_norms", "count", 1, lambda v: sample_norms(BODY, v, 5), 1000),
     ("sample_coordinate", "count", 1, lambda v: sample_coordinate(BODY, v, 5), 1000),
+    ("Direction.canonical", "axis", 0, lambda v: Direction.canonical(3, v).coords, 1),
     ("sample_sphere.n", "n", 1, lambda v: sample_sphere(v, 100, 5), 3),
     ("sample_sphere.count", "count", 1, lambda v: sample_sphere(3, v, 5), 1000),
     ("isotropy_report", "samples", 1, lambda v: isotropy_report(BODY, v, 5).cov, 1000),
@@ -92,6 +93,7 @@ ENTRIES = [
     ("mean_width_mc.n_dirs", "n_dirs", 1, lambda v: mean_width_mc(BODY, 100, 3, v, 5).mc_mean, 3),
     ("mean_width_orlicz_report", "n_dirs", 100,
      lambda v: mean_width_orlicz_report(BODY, 100, v, 5, proj_samples=1000).value, 1000),
+    ("mean_width_orlicz_report.ball", "n_dirs", 100, lambda v: mean_width_orlicz_report(BALL, 100, v, 5).value, 1000),
     ("direction_measure_scan", "n_dirs", 1000,
      lambda v: direction_measure_scan(BODY, 100, 0.5, v, 5, proj_samples=1000).estimates, 1000),
     ("direction_support_profile", "N", 1, lambda v: direction_support_profile(BODY, DIRS, v, 5, 1000), 1000),
