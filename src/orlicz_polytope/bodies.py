@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, EstimationError, whole
-from .mathkit import DEFAULT_QUAD, Interval, ball_volume_log, quad_adaptive, quad_cumulative
+from .mathkit import ball_volume_log, quad_cumulative
 
 __all__ = [
     "BodySpec",
@@ -133,7 +133,7 @@ class Direction:
 
     @classmethod
     def canonical(cls, n: int, axis: int = 0) -> "Direction":
-        axis = whole(axis, "axis", 0)
+        n, axis = whole(n, "n"), whole(axis, "axis", 0)
         if axis >= n:
             raise DomainError(f"axis {axis} outside dimension {n}")
         v = np.zeros(n)
@@ -546,14 +546,12 @@ def isotropy_report(body: BodySpec, samples: int, seed: int) -> IsotropyReport:
 
 
 def isotropic_constant(body: BodySpec) -> float:
-    """Exact L_K via the second moment of the coordinate marginal."""
-    if math.isinf(body.p):
+    """Exact L_K, the root of the second moment of a coordinate: since
+    (|X_1| / R)^p ~ Beta(1/p, b), b = (n-1)/p + 1,
+    L_K = R sqrt(Gamma(3/p) Gamma(1/p + b) / (Gamma(1/p) Gamma(3/p + b)))."""
+    p = body.p
+    if math.isinf(p):
         return 1.0 / math.sqrt(12.0)
-    radius = normalization_scale(body)
-    density = coordinate_marginal(body).density
-    second = quad_adaptive(
-        lambda t: 2.0 * t * t * density(t),
-        Interval(0.0, radius),
-        DEFAULT_QUAD,
-    )
-    return math.sqrt(second)
+    b = (body.n - 1) / p + 1.0
+    log_ratio = math.lgamma(3.0 / p) + math.lgamma(1.0 / p + b) - math.lgamma(1.0 / p) - math.lgamma(3.0 / p + b)
+    return normalization_scale(body) * math.exp(0.5 * log_ratio)

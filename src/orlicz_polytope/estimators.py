@@ -32,7 +32,6 @@ from .bodies import (
     MarginalDensity,
     _map_points,
     _parallel_map,
-    coordinate_marginal,
     derive_seed,
     isotropic_constant,
     project_uniform,
@@ -46,8 +45,8 @@ from .mathkit import bracket, brent, quad_cumulative
 from .orlicz import (
     OrliczFunction,
     empirical_roots,
+    from_coordinate,
     from_empirical,
-    from_tail,
     invert_for_support,
     spherical_prefactor,
 )
@@ -189,12 +188,13 @@ def build_direction_orlicz(
 ) -> OrliczFunction:
     """Orlicz function of <X, theta> for X uniform in the body.
 
-    The stop-loss integral of the exact coordinate marginal on canonical
-    axes and, by rotational invariance, for p = 2 in every direction.
+    The exact incomplete-beta stop-loss of the coordinate marginal
+    (from_coordinate) on canonical axes and, by rotational invariance, for
+    p = 2 in every direction.
     Other directions use the empirical measure of proj_samples projections.
     """
     atoms = _direction_atoms(body, direction, proj_samples, seed)
-    return from_tail(coordinate_marginal(body)) if atoms is None else from_empirical(atoms)
+    return from_coordinate(body) if atoms is None else from_empirical(atoms)
 
 
 def _direction_atoms(body: BodySpec, direction, proj_samples: int, seed: int) -> Optional[np.ndarray]:
@@ -225,7 +225,7 @@ def _support_estimates(body: BodySpec, direction, levels, proj_samples: int, see
     sorts every atom nor searches."""
     atoms = _direction_atoms(body, direction, proj_samples, seed)
     if atoms is None:
-        M = from_tail(coordinate_marginal(body))
+        M = from_coordinate(body)
         return [invert_for_support(M, N) for N in levels]
     return [float(empirical_roots(atoms, N)[0]) for N in levels]
 
@@ -251,7 +251,7 @@ def direction_support_profile(
     levels = [whole(level, "N") for level in np.atleast_1d(N)]
     out = np.empty((len(levels), dirs.shape[0]))
     if body.p == 2.0:
-        M = from_tail(coordinate_marginal(body))
+        M = from_coordinate(body)
         for row, level in zip(out, levels):
             row[:] = invert_for_support(M, level)
     else:
@@ -284,7 +284,7 @@ def mean_width_orlicz_report(
     levels = np.atleast_1d(N)
     n_dirs = whole(n_dirs, "n_dirs", 100)
     if body.p == 2.0:
-        M = from_tail(coordinate_marginal(body))
+        M = from_coordinate(body)
         reports = [MCValue(invert_for_support(M, level), 0.0, 1, seed) for level in levels]
     else:
         dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "mw-dirs"))

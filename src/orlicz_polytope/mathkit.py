@@ -1,4 +1,5 @@
-"""Special functions, stable elementary numerics, and adaptive quadrature.
+"""Special functions (ball volumes, the incomplete beta integral), stable
+elementary numerics, and adaptive quadrature.
 
 The quadrature routine is a globally adaptive bisection scheme built on a
 15-point Gauss-Kronrod rule.  Integrands are evaluated on arrays of
@@ -28,6 +29,7 @@ __all__ = [
     "ball_volume",
     "ball_volume_log",
     "ball_volume_ratio",
+    "beta_tail",
     "quad_adaptive",
     "quad_batch",
     "quad_cumulative",
@@ -138,6 +140,58 @@ def ball_volume_ratio(p: float, n: int) -> float:
     if math.isinf(p):
         return 0.5
     return math.exp(ball_volume_log(p, n - 1) - ball_volume_log(p, n))
+
+
+# ---------------------------------------------------------------------------
+# incomplete beta function
+
+_CF_STEPS = 1000
+_CF_TINY = 1e-300  # Lentz's stand-in for a vanishing denominator
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """The continued fraction of B_x(a, b) a / (x^a (1 - x)^b), by Lentz's
+    method (Numerical Recipes, 3rd ed., sections 5.2 and 6.4); it converges
+    fast for x < (a + 1) / (a + b + 2)."""
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_STEPS + 1):
+        m2 = 2 * m
+        for num in (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+                    -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            h *= c * d
+        if abs(c * d - 1.0) <= 1e-16:
+            return h
+    raise AccuracyError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def beta_tail(alpha: float, b: float, log_x: float) -> float:
+    """int_x^1 u^(alpha-1) (1-u)^(b-1) du, the upper incomplete beta
+    integral B(alpha, b) (1 - I_x(alpha, b)), for alpha, b > 0 and
+    x = exp(log_x) in [0, 1].
+
+    x enters through its logarithm, so an x that underflows (log_x far below
+    -745, or -inf) still gives B(alpha, b), and 1 - x = -expm1(log_x) keeps
+    its relative precision as x nears 1.  Each end is one continued fraction
+    (DiDonato and Morris, ACM TOMS 18, 1992), taken on the side where it
+    converges: near x = 1 the integral itself, B_{1-x}(b, alpha), with no
+    cancellation; elsewhere B(alpha, b) less the lower integral B_x(alpha, b).
+    """
+    if not (alpha > 0 and b > 0 and log_x <= 0):  # NaN included
+        raise DomainError(f"beta_tail needs alpha, b > 0 and log_x <= 0, got {alpha!r}, {b!r}, {log_x!r}")
+    y = -math.expm1(log_x)
+    if y == 0.0:
+        return 0.0
+    log_y = math.log(y)
+    if y < (b + 1.0) / (alpha + b + 2.0):
+        return math.exp(b * log_y + alpha * log_x) / b * _beta_cf(b, alpha, y)
+    full = math.exp(math.lgamma(alpha) + math.lgamma(b) - math.lgamma(alpha + b))
+    return full - math.exp(alpha * log_x + b * log_y) / alpha * _beta_cf(alpha, b, math.exp(log_x))
 
 
 # ---------------------------------------------------------------------------

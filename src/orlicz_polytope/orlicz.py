@@ -20,12 +20,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bodies import BodySpec, MarginalDensity, coordinate_marginal, normalization_scale
-from .errors import DomainError, EstimationError, RangeError, whole
+from .errors import AccuracyError, DomainError, EstimationError, RangeError, whole
 from .mathkit import (
     DEFAULT_QUAD,
     Interval,
     ball_volume_log,
     ball_volume_ratio,
+    beta_tail,
     bisect,
     bracket,
     brent,
@@ -44,6 +45,7 @@ __all__ = [
     "from_cube",
     "from_pball",
     "from_tail",
+    "from_coordinate",
     "from_empirical",
     "empirical_roots",
     "from_spherical",
@@ -67,6 +69,9 @@ _INVERT_REL_TOL = 1e-9
 # arbitrarily tiny), and of the inner integrals of the nested ones.
 _QUAD = DEFAULT_QUAD.rel_only()
 _INNER_QUAD = _QUAD.tighter()
+
+# from_coordinate sums M as one series in 1 - x once 1 - x is at most this.
+_EDGE = 0.25
 
 # Points of the log grid export_tabulation writes.
 _TABLE_POINTS = 257
@@ -326,7 +331,8 @@ def from_tail(marginal: MarginalDensity) -> OrliczFunction:
 
     By Fubini the defining double integral is the stop-loss expectation
     M(t) = E (t|<X,theta>| - 1)_+ = int_{1/t}^R 2 f(r) (t r - 1) dr, which
-    one quadrature evaluates.  Atoms go through from_empirical instead.
+    one quadrature evaluates.  A test oracle of from_coordinate, which the
+    estimators use; atoms go through from_empirical.
     """
     radius = marginal.support_radius
 
@@ -341,6 +347,58 @@ def from_tail(marginal: MarginalDensity) -> OrliczFunction:
         )
 
     return OrliczFunction(eval=ev, zero_threshold=1.0 / radius, kind="tail-integral")
+
+
+def from_coordinate(body: BodySpec) -> OrliczFunction:
+    """Exact Orlicz function of a coordinate of the volume-1 l_p ball (of
+    every direction for p = 2), through the incomplete beta integral.
+
+    With R the support radius, (|X_1| / R)^p ~ Beta(1/p, b), b = (n-1)/p + 1,
+    so for x = (tR)^{-p} the stop-loss expectation is
+
+        M(t) = E (t |X_1| - 1)_+ = [tR J(2/p) - J(1/p)] / B(1/p, b),
+
+    J(alpha) = int_x^1 u^{alpha-1} (1-u)^{b-1} du (mathkit.beta_tail).  For
+    y = 1 - x <= 1/4 the two terms nearly cancel, so M is summed there as
+    one series in y: (1 - v)^c = sum_k a_k(c) v^k under the integral over
+    v = 1 - u in [0, y] gives y^b sum_k [tR a_k(2/p-1) - a_k(1/p-1)] y^k / (b+k),
+    whose k = 0 coefficient tR - 1 = expm1(log tR) is exact.  The cube and
+    n = 1 have the uniform law of from_cube."""
+    p, n = body.p, body.n
+    if math.isinf(p) or n == 1:
+        return from_cube()
+    radius = normalization_scale(body)
+    a, b = 1.0 / p, (n - 1) / p + 1.0
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def edge_series(log_tr: float, y: float) -> float:
+        d = math.expm1(log_tr)
+        total = d / b
+        # coeff_k = a_k(2/p - 1), gap_k = a_k(2/p - 1) - a_k(1/p - 1)
+        coeff, gap, power = 1.0, 0.0, 1.0
+        for k in range(1, 200):
+            gap = (gap * (k - a) - coeff * a) / k
+            coeff *= (k - 2.0 * a) / k
+            power *= y
+            term = (d * coeff + gap) * power / (b + k)
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                return math.exp(b * math.log(y) - log_beta) * total
+        raise AccuracyError(f"edge series of M did not converge at y = {y}")
+
+    def ev(t: float) -> float:
+        _check_t(t)
+        if t * radius <= 1.0:
+            return 0.0
+        log_tr = math.log(t * radius)
+        log_x = -p * log_tr
+        y = -math.expm1(log_x)
+        if y <= _EDGE:
+            return edge_series(log_tr, y)
+        upper = t * radius * beta_tail(2.0 * a, b, log_x) - beta_tail(a, b, log_x)
+        return upper / math.exp(log_beta)
+
+    return OrliczFunction(eval=ev, zero_threshold=1.0 / radius, kind="incomplete-beta")
 
 
 def from_empirical(projections: Sequence[float]) -> OrliczFunction:
@@ -537,7 +595,8 @@ def build_consistency_grid(ps, ns, s_count: int = 10):
 def representation_spread(p: float, n: int, s_frac: float) -> float:
     """(max - min) / max of M(1/s), s = s_frac * R, over every representation
     of the l_p coordinate Orlicz function: the two closed forms, the defining
-    double integral, its survival variant and the production stop-loss path."""
+    double integral, its survival variant, the stop-loss quadrature and the
+    production incomplete-beta path."""
     body = BodySpec(p, n)
     s = s_frac * normalization_scale(body)
     marg = coordinate_marginal(body)
@@ -547,6 +606,7 @@ def representation_spread(p: float, n: int, s_frac: float) -> float:
         m_from_tail(marg, 1.0 / s),
         m_from_tail_alt(marg, 1.0 / s),
         from_tail(marg).eval(1.0 / s),
+        from_coordinate(body).eval(1.0 / s),
     ]
     hi, lo = max(vals), min(vals)
     return (hi - lo) / hi if hi > 0 else 0.0

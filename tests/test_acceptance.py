@@ -35,6 +35,7 @@ from orlicz_polytope.estimators import (
 from orlicz_polytope.mathkit import SinCosParams, sincos_identity_sides
 from orlicz_polytope.orlicz import (
     build_consistency_grid,
+    from_coordinate,
     from_cube,
     from_tail,
     invert_for_support,
@@ -123,7 +124,7 @@ def test_criterion_2_representation_consistency():
     elapsed = time.perf_counter() - t0
     report(
         2,
-        "closed forms vs tail integrals and the stop-loss path",
+        "closed forms vs tail integrals, the stop-loss path and the production M",
         worst <= 1e-6 and elapsed < 120.0,
         f"max pairwise rel {worst:.2e} at {where} (tol 1e-6), {elapsed:.0f}s < 120s",
     )
@@ -146,11 +147,13 @@ def exact_m(p, n, s):
 
 
 def test_criterion_2_exact_m():
-    # the exact oracle beside criterion 2: production over the range the
-    # inversion lands in, the two tail-integral oracles on the consistency band
+    # the exact oracle beside criterion 2: the production incomplete-beta
+    # path and the stop-loss quadrature over the range the inversion lands
+    # in, the two tail-integral oracles on the consistency band
     t0 = time.perf_counter()
     ps, ns = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0), (2, 10, 30, 50)
-    worst = {"from_tail": (0.0, None), "m_from_tail": (0.0, None), "m_from_tail_alt": (0.0, None)}
+    names = ("from_coordinate", "from_tail", "m_from_tail", "m_from_tail_alt")
+    worst = {name: (0.0, None) for name in names}
 
     def check(name, value, want, cell):
         rel = abs(value - want) / want
@@ -161,10 +164,12 @@ def test_criterion_2_exact_m():
         for n in ns:
             body = BodySpec(p, n)
             radius, marg = normalization_scale(body), coordinate_marginal(body)
-            M = from_tail(marg)
+            production, M = from_coordinate(body), from_tail(marg)
             for frac in np.linspace(0.05, 0.995, 8).tolist():
                 s = frac * radius
-                check("from_tail", M(1.0 / s), exact_m(p, n, s), (p, n, round(frac, 3)))
+                want = exact_m(p, n, s)
+                check("from_coordinate", production(1.0 / s), want, (p, n, round(frac, 3)))
+                check("from_tail", M(1.0 / s), want, (p, n, round(frac, 3)))
     for p, n, frac in build_consistency_grid(ps, ns, 4):
         body = BodySpec(p, n)
         s = frac * normalization_scale(body)
@@ -174,10 +179,10 @@ def test_criterion_2_exact_m():
     elapsed = time.perf_counter() - t0
     report(
         2,
-        "stop-loss path and tail oracles vs exact incomplete-beta M",
+        "production M and tail oracles vs exact incomplete-beta M",
         all(rel <= 1e-9 for rel, _ in worst.values()),
         "; ".join(f"{k} max rel {rel:.2e} at {cell}" for k, (rel, cell) in worst.items())
-        + f" (tol 1e-9; 192 + 96 cells), {elapsed:.1f}s",
+        + f" (tol 1e-9; 192 + 192 + 96 cells), {elapsed:.1f}s",
     )
 
 

@@ -1,6 +1,7 @@
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -439,6 +440,20 @@ class TestIsotropy:
         assert isotropic_constant(ball) == pytest.approx(
             normalization_scale(ball) / math.sqrt(32.0), rel=1e-9
         )
+
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0])
+    def test_gamma_form_against_mpmath(self, p):
+        # the second moment of the section density c (1 - (t/R)^p)^((n-1)/p),
+        # integrated at 40 digits
+        for n in (1, 2, 3, 10, 30, 100):
+            with mpmath.workdps(40):
+                q = mpmath.mpf(p)
+                vol = lambda k: (2 * mpmath.gamma(1 + 1 / q)) ** k / mpmath.gamma(1 + k / q)
+                radius = vol(n) ** (-mpmath.mpf(1) / n)
+                c = vol(n - 1) / vol(n) ** (mpmath.mpf(n - 1) / n)
+                moment = mpmath.quad(lambda u: 2 * u**2 * (1 - u**q) ** ((n - 1) / q), [0, 1])
+                want = mpmath.sqrt(c * radius**3 * moment)
+            assert isotropic_constant(BodySpec(p, n)) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_rejects_nonpositive_samples(self, samples):

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from orlicz_polytope import orlicz
+from orlicz_polytope.bodies import BodySpec, coordinate_marginal
 from orlicz_polytope.cli import (
     RNG_ALGORITHM,
     ConfigError,
@@ -266,6 +271,26 @@ class TestDirectionsCommand:
         lines = (tmp_path / "out" / "directions.csv").read_text().strip().split("\n")
         assert len(lines) == 1001
         assert set(read_json(tmp_path, "timings.json")) == {"total_s"}
+
+    def test_large_p_table_is_finite_and_exact(self, tmp_path):
+        # at p = 50 the grid's x = (tR)^-p reaches 1e-200; the stop-loss
+        # quadrature is the oracle
+        assert run(tmp_path, "tabulate-m", "--p", "50", "--n", "4", "--dir", "e1") == 0
+        lines = (tmp_path / "out" / "m_table.csv").read_text().strip().split("\n")
+        oracle = orlicz.from_tail(coordinate_marginal(BodySpec(50.0, 4)))
+        for line in lines[1:]:
+            t, m = (float(v) for v in line.split(","))
+            assert math.isfinite(m)
+            assert m == pytest.approx(oracle.eval(t), rel=1e-9, abs=0.0)
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about 0.3 s of start-up per process; the package must not need it
+    src = str(Path(orlicz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, orlicz_polytope, orlicz_polytope.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestValidateCommand:

@@ -70,6 +70,7 @@ ENTRIES = [
     ("sample_norms", "count", 1, lambda v: sample_norms(BODY, v, 5), 1000),
     ("sample_coordinate", "count", 1, lambda v: sample_coordinate(BODY, v, 5), 1000),
     ("Direction.canonical", "axis", 0, lambda v: Direction.canonical(3, v).coords, 1),
+    ("Direction.canonical.n", "n", 1, lambda v: Direction.canonical(v, 0).coords, 3),
     ("sample_sphere.n", "n", 1, lambda v: sample_sphere(v, 100, 5), 3),
     ("sample_sphere.count", "count", 1, lambda v: sample_sphere(3, v, 5), 1000),
     ("isotropy_report", "samples", 1, lambda v: isotropy_report(BODY, v, 5).cov, 1000),

@@ -89,13 +89,15 @@ class TestExpectedSupportOrlicz:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, INF])
     def test_canonical_directions_use_stop_loss(self, p):
-        assert build_direction_orlicz(BodySpec(p, 10), 0).kind == "tail-integral"
+        # the exact stop-loss: the incomplete beta for finite p, the cube's closed form
+        want = "tail-integral" if p == INF else "incomplete-beta"
+        assert build_direction_orlicz(BodySpec(p, 10), 0).kind == want
 
     def test_ball_random_direction_uses_stop_loss(self):
         body = BodySpec(2.0, 10)
         theta = Direction(sample_sphere(10, 1, derive_seed(3, "dir"))[0])
         M = build_direction_orlicz(body, theta)
-        assert M.kind == "tail-integral"
+        assert M.kind == "incomplete-beta"
         t = 2.0 * M.zero_threshold
         assert M.eval(t) == build_direction_orlicz(body, 0).eval(t)
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from orlicz_polytope.mathkit import (
     ball_volume,
     ball_volume_log,
     ball_volume_ratio,
+    beta_tail,
     bisect,
     bracket,
     brent,
@@ -77,6 +79,70 @@ class TestBallVolume:
             ball_volume(2.0, 0)
         with pytest.raises(DomainError):
             ball_volume_ratio(2.0, 1)
+
+
+def mp_beta_tail(alpha, b, log_x):
+    """int_x^1 u^(alpha-1) (1-u)^(b-1) du at 120 digits, x = exp(log_x): the
+    upper integral itself while 1 - x keeps 60 digits, else B less the lower."""
+    with mpmath.workdps(120):
+        log_x = mpmath.mpf(log_x)
+        if log_x < -140:
+            return float(mpmath.beta(alpha, b) - mpmath.betainc(alpha, b, 0, mpmath.exp(log_x)))
+        return float(mpmath.betainc(b, alpha, 0, -mpmath.expm1(log_x)))
+
+
+# criterion 2's grid; alpha = 1/p and 2/p, b = (n-1)/p + 1 are the shapes
+# of the l_p coordinate law, and x = (s/R)^p
+BETA_P = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0)
+BETA_N = (2, 10, 30, 50)
+
+
+class TestBetaTail:
+    @pytest.mark.parametrize("p", BETA_P)
+    @pytest.mark.parametrize("n", BETA_N)
+    def test_criterion_2_grid(self, p, n):
+        b = (n - 1) / p + 1.0
+        for frac in np.linspace(0.05, 0.995, 8).tolist():
+            for alpha in (1.0 / p, 2.0 / p):
+                log_x = p * math.log(frac)
+                assert beta_tail(alpha, b, log_x) == pytest.approx(mp_beta_tail(alpha, b, log_x), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", BETA_P)
+    @pytest.mark.parametrize("n", BETA_N)
+    def test_near_the_support_edge(self, p, n):
+        b = (n - 1) / p + 1.0
+        for frac in (0.999, 0.9999):
+            for alpha in (1.0 / p, 2.0 / p):
+                log_x = p * math.log(frac)
+                assert beta_tail(alpha, b, log_x) == pytest.approx(mp_beta_tail(alpha, b, log_x), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 6.0, 50.0])
+    def test_x_underflows_far_above_the_threshold(self, p):
+        # t R = 1e300 puts x = (tR)^-p below the smallest double; log x does not
+        b = 29.0 / p + 1.0
+        for tr in (1e10, 1e100, 1e300):
+            log_x = -p * math.log(tr)
+            for alpha in (1.0 / p, 2.0 / p):
+                got = beta_tail(alpha, b, log_x)
+                assert math.isfinite(got)
+                assert got == pytest.approx(mp_beta_tail(alpha, b, log_x), rel=1e-12, abs=0.0)
+        full = float(mpmath.beta(1.0 / p, b))
+        assert beta_tail(1.0 / p, b, -math.inf) == pytest.approx(full, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha, b", [(1.0, 50.0), (0.5, 15.5), (2.0 / 3.0, 10.0), (0.02, 1.02), (3.0, 3.0)])
+    def test_reflection(self, alpha, b):
+        # I_x(a, b) = 1 - I_{1-x}(b, a), i.e. the upper integrals from x and
+        # from 1 - x with the shapes swapped add up to B(a, b)
+        full = float(mpmath.beta(alpha, b))
+        for x in (1e-12, 0.01, 0.2, 0.5, 0.7, 0.95, 0.9999):
+            pair = beta_tail(alpha, b, math.log(x)) + beta_tail(b, alpha, math.log1p(-x))
+            assert pair == pytest.approx(full, rel=1e-12, abs=0.0)
+
+    def test_ends_and_domain(self):
+        assert beta_tail(0.5, 3.0, 0.0) == 0.0
+        for args in [(0.0, 1.0, -1.0), (1.0, -1.0, -1.0), (1.0, 1.0, 0.5), (1.0, 1.0, math.nan)]:
+            with pytest.raises(DomainError):
+                beta_tail(*args)
 
 
 class TestQuadAdaptive:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from orlicz_polytope.orlicz import (
     dual_involution_error,
     empirical_roots,
     from_cube,
+    from_coordinate,
     from_empirical,
     from_pball,
     from_power,
@@ -87,6 +89,7 @@ CONSTRUCTORS = {
     "cube": from_cube,
     "pball": lambda: from_pball(2.0, 5),
     "tail": lambda: from_tail(coordinate_marginal(BodySpec(3.0, 10))),
+    "coordinate": lambda: from_coordinate(BodySpec(3.0, 10)),
     "empirical": lambda: from_empirical([0.5, 1.0, 2.0]),
     "spherical": lambda: from_spherical(5),
 }
@@ -147,6 +150,54 @@ class TestStopLoss:
         assert M.eval(1.001 * M.zero_threshold) > 0.0
         with pytest.raises(DomainError):
             M.eval(-1.0)
+
+
+def mp_coordinate_m(body, t):
+    """M(t) of the coordinate law (|X_1|/R)^p ~ Beta(1/p, b) at 120 digits,
+    at the double tR that from_coordinate reads: [tR J(2/p) - J(1/p)] /
+    B(1/p, b), J(alpha) the integral of u^(alpha-1) (1-u)^(b-1) over [x, 1],
+    x = (tR)^-p."""
+    with mpmath.workdps(120):
+        p = mpmath.mpf(body.p)
+        b = (body.n - 1) / p + 1
+        tr = mpmath.mpf(t * normalization_scale(body))
+        y = 1 - tr ** -p
+        upper = lambda alpha: mpmath.betainc(b, alpha, 0, y)
+        return float((tr * upper(2 / p) - upper(1 / p)) / mpmath.beta(1 / p, b))
+
+
+class TestCoordinate:
+    """from_coordinate, the production M of the coordinate law: the
+    incomplete beta away from the support edge, one series in 1 - x near it."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 50.0])
+    @pytest.mark.parametrize("n", [2, 10, 30, 50])
+    def test_against_120_digits(self, p, n):
+        body = BodySpec(p, n)
+        M = from_coordinate(body)
+        assert M.kind == "incomplete-beta"
+        radius = normalization_scale(body)
+        switch = 0.75 ** (1.0 / p)  # s/R where 1 - x = 1/4, the series' edge
+        for frac in (0.05, 0.3, 0.6, 0.9, 0.99, 0.999, 0.9999, switch * (1 - 1e-12), switch * (1 + 1e-12)):
+            t = 1.0 / (frac * radius)
+            # measured: at most 7.8e-13; the two incomplete betas alone, without
+            # the series, read 6.7e-9 at s/R = 0.9999
+            assert M.eval(t) == pytest.approx(mp_coordinate_m(body, t), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 6.0])
+    def test_matches_the_stop_loss_quadrature(self, p):
+        body = BodySpec(p, 10)
+        M, oracle = from_coordinate(body), from_tail(coordinate_marginal(body))
+        assert M.zero_threshold == oracle.zero_threshold
+        for t in M.zero_threshold * np.array([0.5, 1.0, 1.001, 1.1, 2.0, 10.0, 1e3, 1e6]):
+            assert M.eval(float(t)) == pytest.approx(oracle.eval(float(t)), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("body", [BodySpec(INF, 5), BodySpec(3.0, 1)])
+    def test_uniform_law_is_the_cube(self, body):
+        M = from_coordinate(body)
+        assert M.kind == from_cube().kind and M.zero_threshold == 2.0
+        for t in (1.0, 2.5, 40.0):
+            assert M.eval(t) == from_cube().eval(t)
 
 
 class TestClosedForms:
@@ -459,7 +510,7 @@ class TestLuxemburg:
         # the paper's estimate is the Orlicz norm of (1, ..., 1) in R^N;
         # the production M is checked over the N range the estimator runs in
         cases = [(from_pball(2.0, 5), 3), (from_pball(2.0, 5), 17)]
-        production = from_tail(coordinate_marginal(BodySpec(1.5, 30)))
+        production = from_coordinate(BodySpec(1.5, 30))
         cases += [(production, N) for N in (10**2, 10**3, 10**6)]
         for M, N in cases:
             a = luxemburg_norm(np.ones(N), M)
@@ -587,17 +638,19 @@ class TestInversion:
             assert abs(hi - empirical_roots(v, N)[0]) <= 1e-9 * hi
 
     def test_m_reads_on_canonical_cells(self):
-        # the 70 canonical cells of the orlicz-grid benchmark; halving the
-        # bracket to the same width read M 2274 times (32.5 per inversion)
-        reads = 0
-        for p in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, INF):
-            for n in (10, 30):
-                seen = []
-                M = counted(from_tail(coordinate_marginal(BodySpec(p, n))), seen)
-                for N in (10**2, 10**3, 10**4, 10**5, 10**6):
-                    invert_for_support(M, N)
-                reads += len(seen)
-        assert reads <= 971  # measured: 13.9 reads per inversion
+        # the 70 canonical cells of the orlicz-grid benchmark, through the
+        # stop-loss quadrature and the production M; halving the bracket to
+        # the same width read M 2274 times (32.5 per inversion)
+        for make in (lambda body: from_tail(coordinate_marginal(body)), from_coordinate):
+            reads = 0
+            for p in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, INF):
+                for n in (10, 30):
+                    seen = []
+                    M = counted(make(BodySpec(p, n)), seen)
+                    for N in (10**2, 10**3, 10**4, 10**5, 10**6):
+                        invert_for_support(M, N)
+                    reads += len(seen)
+            assert reads <= 971  # measured: 971 and 970, 13.9 reads per inversion
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("n", [2, 10, 50])
