@@ -37,7 +37,6 @@ __all__ = [
     "sincos_identity_sides",
     "bracket",
     "brent",
-    "bisect",
 ]
 
 _LOG2 = math.log(2.0)
@@ -71,16 +70,6 @@ class QuadratureSpec:
         if self.abs_tol < 0:
             raise DomainError("abs_tol must be nonnegative")
         object.__setattr__(self, "max_depth", whole(self.max_depth, "max_depth"))
-
-    def tighter(self) -> "QuadratureSpec":
-        """Spec for the inner integral of a nested quadrature: a tenth of
-        both tolerances."""
-        return QuadratureSpec(self.rel_tol / 10.0, self.abs_tol / 10.0, self.max_depth)
-
-    def rel_only(self) -> "QuadratureSpec":
-        """Drop the absolute floor; needed when integral values can be
-        arbitrarily tiny (e.g. (1-u)^k factors with k in the hundreds)."""
-        return QuadratureSpec(self.rel_tol, 0.0, self.max_depth)
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -412,27 +401,26 @@ def bracket(gap: Callable[[float], float], ref: float, limit: float) -> tuple[fl
     """A bracket (lo, hi, gap(lo), gap(hi)) of a decreasing signed gap, with
     gap(lo) > 0 >= gap(hi), for brent: hi doubles up from ref while
     gap(hi) > 0, and lo is then the last hi above 0; if gap(ref) <= 0, hi
-    stays ref and lo halves down from ref / 2 while gap(lo) <= 0.  Each point
-    is read once.  Raises RangeError once hi passes ref * limit or lo passes
-    below ref / limit.  A NaN gap counts as above 0."""
+    stays ref and lo halves down from ref / 2 while gap(lo) <= 0.  The last
+    step of either stops at the end of the range [ref / limit, ref * limit],
+    and each point is read once.  Raises RangeError when the gap has not
+    changed sign at that end.  A NaN gap counts as above 0."""
     if not (math.isfinite(ref) and ref > 0 and limit > 1):
         raise DomainError("a bracket needs a positive finite ref and a limit above 1")
-    span = f"[{ref / limit:g}, {ref * limit:g}]"
+    bottom, top = ref / limit, ref * limit
+    span = f"[{bottom:g}, {top:g}]"
     lo = hi = ref
     g_lo = g_hi = gap(ref)
     while not g_hi <= 0:
-        lo, g_lo, hi = hi, g_hi, 2.0 * hi
-        if hi > ref * limit:
+        if hi >= top:
             raise RangeError(f"the crossing lies above the search range {span}")
+        lo, g_lo, hi = hi, g_hi, min(2.0 * hi, top)
         g_hi = gap(hi)
-    if lo == hi:
-        lo = hi / 2.0
+    while g_lo <= 0:
+        if lo <= bottom:
+            raise RangeError(f"the crossing lies below the search range {span}")
+        lo = max(lo / 2.0, bottom)
         g_lo = gap(lo)
-        while g_lo <= 0:
-            lo /= 2.0
-            if lo < ref / limit:
-                raise RangeError(f"the crossing lies below the search range {span}")
-            g_lo = gap(lo)
     return lo, hi, g_lo, g_hi
 
 
@@ -488,26 +476,6 @@ def brent(
         g_cur = gap(cur)
         if g_cur == 0:
             return cur, cur
-
-
-def bisect(pred: Callable[[float], bool], lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
-    """Shrink a bracket of a monotone predicate: given pred(lo) false and
-    pred(hi) true, halve [lo, hi] keeping both, until hi - lo <= rel_tol * hi
-    (or lo and hi are adjacent floats).  Returns the final (lo, hi).
-
-    Level searches use bracket and brent instead, which read less than half
-    as often.  Only legendre_dual halves: its chord-slope searches of every x
-    visit the same dyadic points of [grid_max, 2 grid_max], which is what
-    lets the dual's memo answer most of its reads."""
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------

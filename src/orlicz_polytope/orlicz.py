@@ -13,8 +13,7 @@ which vanishes exactly on [0, 1/support_radius].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,12 +21,11 @@ import numpy as np
 from .bodies import BodySpec, MarginalDensity, coordinate_marginal, normalization_scale
 from .errors import AccuracyError, DomainError, EstimationError, RangeError, whole
 from .mathkit import (
-    DEFAULT_QUAD,
     Interval,
+    QuadratureSpec,
     ball_volume_log,
     ball_volume_ratio,
     beta_tail,
-    bisect,
     bracket,
     brent,
     quad_adaptive,
@@ -67,18 +65,14 @@ _INVERT_REL_TOL = 1e-9
 
 # Quadrature of every M representation (no absolute floor: values can be
 # arbitrarily tiny), and of the inner integrals of the nested ones.
-_QUAD = DEFAULT_QUAD.rel_only()
-_INNER_QUAD = _QUAD.tighter()
+_QUAD = QuadratureSpec(abs_tol=0.0)
+_INNER_QUAD = QuadratureSpec(1e-10, 0.0)
 
 # from_coordinate sums M as one series in 1 - x once 1 - x is at most this.
 _EDGE = 0.25
 
 # Points of the log grid export_tabulation writes.
 _TABLE_POINTS = 257
-
-# Values of M that one Legendre dual remembers: the chord-slope bisections of
-# its evaluations all halve [grid_max, 2 grid_max] and so revisit the same t.
-_DUAL_MEMO = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -491,31 +485,36 @@ def _convexity_check(m: Callable[[float], float], grid_max: float, points: int =
 
 def legendre_dual(M: OrliczFunction, grid_max: float) -> OrliczFunction:
     """M*(x) = sup_{t in [0, grid_max]} (x t - M(t)).  The objective is concave,
-    so bisection finds its maximiser where the chord slope of M over h reaches
-    x; on u = t + grid_max the relative stop is an absolute width, even at t = 0.
-
-    Each dual reads M through its own least-recently-used memo of at most
-    _DUAL_MEMO values: the convexity test, the zero-threshold probes and every
-    bisection.  Bisections of different x revisit the same dyadic points of
-    [grid_max, 2 grid_max], so a dual of a dual stops repeating the inner
-    bisections.  M must therefore be pure, a deterministic function of t; the
-    dual's values are then exactly those of reading M afresh every time."""
+    so its maximiser is where the chord slope of M over h reaches x: the
+    crossing of the decreasing gap x h - (M(t + h) - M(t)) over
+    u = t + grid_max in [grid_max, 2 grid_max], where the relative stop of
+    mathkit.brent is an absolute width, even at t = 0.  A gap at most 0 at
+    t = 0 puts the maximiser at 0, one above 0 at t = grid_max puts it at
+    grid_max; M at both ends is read once per dual, so an x with its
+    maximiser at an end costs no read of M."""
     if not (math.isfinite(grid_max) and grid_max > 0):
         raise DomainError("grid_max must be positive and finite")
-    m = lru_cache(maxsize=_DUAL_MEMO)(M.eval)
+    m = M.eval
     _convexity_check(m, grid_max)
     h = 1e-9 * grid_max
+    m_0, m_top = m(0.0), m(grid_max)
+    rise_0, rise_top = m(h) - m_0, m(grid_max + h) - m_top
 
     def ev(x: float) -> float:
         if not (math.isfinite(x) and x >= 0):
             raise DomainError("dual Orlicz functions are defined for finite x >= 0")
-        lo, hi = bisect(  # over u = t + grid_max
-            lambda u: m(u - grid_max + h) - m(u - grid_max) >= x * h,
-            grid_max, 2.0 * grid_max, 1e-9,
-        )
+        best = max(0.0, -m_0, x * grid_max - m_top)
+        g_lo, g_hi = x * h - rise_0, x * h - rise_top
+        if g_lo <= 0 or g_hi > 0:
+            return best
+
+        def gap(u: float) -> float:
+            t = u - grid_max
+            return x * h - (m(t + h) - m(t))
+
+        lo, hi = brent(gap, grid_max, 2.0 * grid_max, g_lo, g_hi, 1e-9)
         t_star = 0.5 * (lo + hi) - grid_max
-        best = max(x * t - m(t) for t in (0.0, t_star, grid_max))
-        return max(best, 0.0)
+        return max(best, x * t_star - m(t_star))
 
     # the dual vanishes below the smallest slope of M
     probes = grid_max * np.logspace(-12.0, 0.0, 25)
@@ -525,13 +524,10 @@ def legendre_dual(M: OrliczFunction, grid_max: float) -> OrliczFunction:
 
 def dual_involution_error(M: OrliczFunction, ts: Sequence[float]) -> float:
     """max |M**(t) - M(t)| over ts, the double dual on [0, 20], scaled by
-    max(1, M(ts[-1])): a check of legendre_dual on slopes inside its window.
-    M is read once per distinct t: the check and the inner dual share one memo,
-    since the dual's probes may land on points of ts."""
+    max(1, M(ts[-1])): a check of legendre_dual on slopes inside its window."""
     ts = [float(t) for t in ts]
     if not ts:
         raise DomainError("the involution check needs at least one point")
-    M = replace(M, eval=lru_cache(maxsize=_DUAL_MEMO)(M.eval))
     dd = legendre_dual(legendre_dual(M, 20.0), 20.0)
     err = max(abs(dd.eval(t) - M.eval(t)) for t in ts)
     return err / max(M.eval(ts[-1]), 1.0)

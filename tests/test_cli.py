@@ -293,6 +293,24 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_tracer_installs_and_public_names_resolve():
+    # the benchmark's tracer wraps package functions by name, so deleting or
+    # renaming one breaks every traced run; each module's __all__ must resolve
+    root = Path(orlicz.__file__).resolve().parents[2]
+    code = "\n".join([
+        "import sys",
+        "sys.path.insert(0, 'perfbench')",
+        "import tracing, worker",
+        "pkg = worker._import_package()",
+        "for mod in vars(pkg).values():",
+        "    missing = [name for name in getattr(mod, '__all__', ()) if not hasattr(mod, name)]",
+        "    assert not missing, (mod.__name__, missing)",
+        "tracing.Tracer().install(pkg)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 class TestValidateCommand:
     def test_default_grid_passes(self, tmp_path):
         assert run(tmp_path, "validate", "--grid", "1 2; 2 5", "--seed", "1") == 0

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -86,6 +87,14 @@ class TestExpectedSupportOrlicz:
         v3 = expected_support_orlicz(body, 0, 10**3)
         v6 = expected_support_orlicz(body, 0, 10**6)
         assert v6 / v3 == pytest.approx(2.0, rel=0.25)
+
+    def test_root_inside_the_last_halving_step(self):
+        # the search halves down from the radius n/(2e) to its bottom end,
+        # radius / 1e6 = 0.184 at n = 1e6, and the root lies between that
+        # end and the last halving above it; as n grows |X_1| tends to the
+        # exponential law of mean 1/(2e), whose root is W(10)/(2e)
+        got = expected_support_orlicz(BodySpec(1.0, 10**6), 0, 10)
+        assert got == pytest.approx(float(mpmath.lambertw(10).real / (2 * mpmath.e)), rel=1e-4)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, INF])
     def test_canonical_directions_use_stop_loss(self, p):

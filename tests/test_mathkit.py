@@ -14,7 +14,6 @@ from orlicz_polytope.mathkit import (
     ball_volume_log,
     ball_volume_ratio,
     beta_tail,
-    bisect,
     bracket,
     brent,
     quad_adaptive,
@@ -260,27 +259,6 @@ class TestQuadBatch:
         assert err.value.error_bound > 0
 
 
-class TestBisect:
-    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-14])
-    def test_invariant_and_width(self, rel_tol):
-        root = math.sqrt(2.0)
-        lo, hi = bisect(lambda x: x * x >= 2.0, 0.0, 10.0, rel_tol)
-        assert lo < root <= hi
-        assert lo * lo < 2.0 <= hi * hi
-        assert hi - lo <= rel_tol * hi
-
-    def test_exact_root(self):
-        # a dyadic root is hit exactly and then kept as the upper end
-        lo, hi = bisect(lambda x: x >= 0.75, 0.0, 1.0, 1e-12)
-        assert hi == 0.75
-        assert 0.75 - lo <= 1e-12 * 0.75
-
-    def test_stops_at_adjacent_floats(self):
-        lo, hi = bisect(lambda x: x >= 1.0 / 3.0, 0.0, 1.0, 0.0)
-        assert hi == np.nextafter(lo, 1.0)
-        assert lo < 1.0 / 3.0 <= hi
-
-
 class TestBracket:
     def test_doubles_up_without_rereading(self):
         seen = []
@@ -302,11 +280,19 @@ class TestBracket:
             bracket(lambda x: 1.0, 1.0, 1e3)
         with pytest.raises(RangeError, match=r"below the search range \[0.001, 1000\]"):
             bracket(lambda x: -1.0, 1.0, 1e3)
-        # at limit 1e3 the last points read are 2^9 and 2^-9
+        # at limit 1e3 the last steps stop at the range's ends, 1000 and 0.001,
+        # so a crossing between 2^9 and 1000 (or 0.001 and 2^-9) is bracketed,
+        # and one past them raises only once that end has been read
+        assert bracket(lambda x: 600.0 - x, 1.0, 1e3) == (512.0, 1000.0, 88.0, -400.0)
+        assert bracket(lambda x: 0.0015 - x, 1.0, 1e3)[:2] == (0.001, 1.0)
         seen = []
-        with pytest.raises(RangeError):
-            bracket(lambda x: seen.append(x) or 600.0 - x, 1.0, 1e3)
-        assert max(seen) == 512.0
+        with pytest.raises(RangeError, match="above"):
+            bracket(lambda x: seen.append(x) or 1200.0 - x, 1.0, 1e3)
+        assert seen[-2:] == [512.0, 1000.0]
+        seen.clear()
+        with pytest.raises(RangeError, match="below"):
+            bracket(lambda x: seen.append(x) or 0.0008 - x, 1.0, 1e3)
+        assert seen[-2:] == [2.0**-9, 0.001]
         assert bracket(lambda x: 500.0 - x, 1.0, 1e3)[:2] == (256.0, 512.0)
 
     def test_nan_gap_counts_as_above_zero(self):
@@ -353,10 +339,13 @@ class TestBrent:
 
     def test_flat_gap_falls_back_to_halving(self):
         # a gap flat on both sides of a jump gives interpolation nothing to
-        # use: every step halves, as bisect does, read for read
+        # use: every step halves, read for read
         (lo, hi), seen = self.solve(lambda x: 1.0 if x < math.pi else -1.0, 0.0, 8.0, 1e-9)
-        halved = []
-        assert (lo, hi) == bisect(lambda x: halved.append(x) or x >= math.pi, 0.0, 8.0, 1e-9)
+        halved, a, b = [], 0.0, 8.0
+        while b - a > 1e-9 * b:
+            halved.append(0.5 * (a + b))
+            a, b = (a, halved[-1]) if halved[-1] >= math.pi else (halved[-1], b)
+        assert (lo, hi) == (a, b)
         assert seen == halved
         assert lo < math.pi <= hi and hi - lo <= 1e-9 * hi
 
