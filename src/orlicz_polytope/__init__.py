@@ -38,8 +38,6 @@ from .estimators import (
     sphere_average_m,
 )
 from .mathkit import (
-    Interval,
-    QuadratureSpec,
     SinCosParams,
     ball_volume,
     ball_volume_ratio,

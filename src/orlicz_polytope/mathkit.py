@@ -1,13 +1,13 @@
 """Special functions (ball volumes, the incomplete beta integral), stable
 elementary numerics, and adaptive quadrature.
 
-The quadrature routine is a globally adaptive bisection scheme built on a
-15-point Gauss-Kronrod rule.  Integrands are evaluated on arrays of
-abscissae, so callables should accept numpy arrays; scalar returns are
-broadcast.  quad_batch runs the same rule and stop on many intervals at
-once, evaluating every panel of a refinement round in one integrand call;
-the nested test oracles use it for their inner integrals.  Everything here
-is pure, reentrant and deterministic for fixed inputs.
+The two adaptive quadrature drivers, quad_adaptive(f, lo, hi, rel_tol) on
+one interval and quad_batch(f, lo, hi, rel_tol) on many, bisect panels of
+one 15-point Gauss-Kronrod rule (_eval_panels) until the error estimate is
+within rel_tol of the value.  Integrands receive (m, 15) arrays of
+abscissae and must act elementwise; scalar returns are broadcast.  The
+nested test oracles use quad_batch for their inner integrals.  Everything
+here is pure, reentrant and deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -22,10 +22,7 @@ import numpy as np
 from .errors import AccuracyError, DegenerateParameterError, DomainError, RangeError, whole
 
 __all__ = [
-    "Interval",
-    "QuadratureSpec",
     "SinCosParams",
-    "DEFAULT_QUAD",
     "ball_volume",
     "ball_volume_log",
     "ball_volume_ratio",
@@ -40,39 +37,6 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Finite integration interval with lo <= hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError("interval endpoints must be finite")
-        if self.lo > self.hi:
-            raise DomainError(f"empty interval: [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and depth budget for quad_adaptive and quad_batch."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_depth: int = 60
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be positive")
-        if self.abs_tol < 0:
-            raise DomainError("abs_tol must be nonnegative")
-        object.__setattr__(self, "max_depth", whole(self.max_depth, "max_depth"))
-
-
-DEFAULT_QUAD = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -218,62 +182,22 @@ _KW = np.array(_WGK[:-1] + [_WGK[-1]] + list(reversed(_WGK[:-1])))
 # Gauss nodes sit at the odd positions of the sorted Kronrod nodes.
 _GW = np.zeros(15)
 _GW[1:14:2] = np.array(_WG[:-1] + [_WG[-1]] + list(reversed(_WG[:-1])))
+_KGW = np.stack((_KW, _GW))
 
+_MAX_DEPTH = 60  # bisections of one panel before a driver gives up
 _MAX_PANELS = 20000
 _CUMULATIVE_CHUNK = 100_000  # panels per integrand call of quad_cumulative
 
 
-def _eval_panel(f: Callable, a: float, b: float):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _NODES
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
-        fx = np.broadcast_to(fx, x.shape)
-    if not np.all(np.isfinite(fx)):
-        raise DomainError(f"integrand non-finite inside panel [{a}, {b}]")
-    kron = half * float(_KW @ fx)
-    gauss = half * float(_GW @ fx)
-    return kron, abs(kron - gauss)
-
-
-def quad_adaptive(f: Callable, iv: Interval, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Integrate f over iv to within max(abs_tol, rel_tol * |result|).
-
-    Panels with the largest error estimate are bisected first; endpoint
-    singularities are handled by panel shrinkage toward the offending
-    endpoint (nodes never touch panel ends).  Raises AccuracyError, with
-    the best estimate attached, when the depth budget is exhausted.
-    """
-    a, b = iv.lo, iv.hi
-    if a == b:
-        return 0.0
-    val, err = _eval_panel(f, a, b)
-    # heap entries: (-err, lo, hi, depth, value, err)
-    heap = [(-err, a, b, 0, val, err)]
-    total_val, total_err = val, err
-    while True:
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total_val))
-        if total_err <= tol:
-            break
-        neg_err, pa, pb, depth, pval, perr = heapq.heappop(heap)
-        if depth >= spec.max_depth or len(heap) + 2 > _MAX_PANELS:
-            raise AccuracyError(
-                f"quadrature did not converge: error bound {total_err:.3e} > tolerance {tol:.3e}",
-                estimate=total_val,
-                error_bound=total_err,
-            )
-        mid = 0.5 * (pa + pb)
-        v1, e1 = _eval_panel(f, pa, mid)
-        v2, e2 = _eval_panel(f, mid, pb)
-        total_val += v1 + v2 - pval
-        total_err += e1 + e2 - perr
-        heapq.heappush(heap, (-e1, pa, mid, depth + 1, v1, e1))
-        heapq.heappush(heap, (-e2, mid, pb, depth + 1, v2, e2))
-    # fixed-order reduction so identical inputs give bit-identical results
-    panels = sorted((entry[1], entry[4]) for entry in heap)
-    return float(math.fsum(v for _, v in panels))
+def _check_intervals(rel_tol: float, finite: bool, ordered: bool) -> None:
+    """Refuse what neither driver integrates: rel_tol <= 0, a non-finite
+    endpoint, an interval with lo > hi."""
+    if not rel_tol > 0:  # NaN included
+        raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
+    if not finite:
+        raise DomainError("interval endpoints must be finite")
+    if not ordered:
+        raise DomainError("every interval needs lo <= hi")
 
 
 def _eval_panels(f: Callable, a: np.ndarray, b: np.ndarray):
@@ -286,38 +210,79 @@ def _eval_panels(f: Callable, a: np.ndarray, b: np.ndarray):
         fx = np.asarray(f(x), dtype=float)
     if fx.shape != x.shape:
         fx = np.broadcast_to(fx, x.shape)
-    if not np.all(np.isfinite(fx)):
+    if not np.isfinite(fx).all():
         bad = int(np.argmin(np.all(np.isfinite(fx), axis=1)))
         raise DomainError(f"integrand non-finite inside panel [{a[bad]}, {b[bad]}]")
     # a row-wise reduce sums each panel in the same order however many
     # panels share the call (a BLAS product need not)
-    kron = np.add.reduce(fx * _KW, axis=1)
-    gauss = np.add.reduce(fx * _GW, axis=1)
+    kron, gauss = np.add.reduce(fx[:, None, :] * _KGW, axis=2).T
     return half * kron, np.abs(half * (kron - gauss))
 
 
-def quad_batch(f: Callable, lo, hi, spec: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
-    """Integrals of f over each [lo[k], hi[k]], each to within
-    max(abs_tol, rel_tol * |its value|), as an array.
+def quad_adaptive(f: Callable, lo: float, hi: float, rel_tol: float = 1e-9) -> float:
+    """Integrate f over [lo, hi] to within rel_tol * |result|.
 
-    The rule and the stop of quad_adaptive, run on all intervals together:
-    f receives an (m, 15) array of abscissae and must act elementwise.
-    Each round, every interval still above its tolerance bisects the panels
-    whose error is within 10x of its worst panel, and all new panels are
-    evaluated in one f call.  Each value is the fsum of its own panels taken
-    by left endpoint, so it does not depend on the other intervals in the
-    batch.  Raises DomainError for a non-finite integrand and AccuracyError,
-    with the worst interval's estimate and error bound, when the depth or
-    panel budget runs out.
+    Panels with the largest error estimate are bisected first, both halves
+    in one call of f on a (2, 15) node array (the first panel is (1, 15));
+    endpoint singularities are handled by panel shrinkage toward the
+    offending endpoint (nodes never touch panel ends).  Raises DomainError
+    for a non-finite integrand, and AccuracyError, with the best estimate
+    attached, when the depth or panel budget is exhausted.
+    """
+    a, b = float(lo), float(hi)
+    _check_intervals(rel_tol, math.isfinite(a) and math.isfinite(b), a <= b)
+    if a == b:
+        return 0.0
+    vals, errs = _eval_panels(f, np.array([a]), np.array([b]))
+    val, err = float(vals[0]), float(errs[0])
+    # heap entries: (-err, lo, hi, depth, value, err)
+    heap = [(-err, a, b, 0, val, err)]
+    total_val, total_err = val, err
+    while True:
+        tol = rel_tol * abs(total_val)
+        if total_err <= tol:
+            break
+        neg_err, pa, pb, depth, pval, perr = heapq.heappop(heap)
+        if depth >= _MAX_DEPTH or len(heap) + 2 > _MAX_PANELS:
+            raise AccuracyError(
+                f"quadrature did not converge: error bound {total_err:.3e} > tolerance {tol:.3e}",
+                estimate=total_val,
+                error_bound=total_err,
+            )
+        mid = 0.5 * (pa + pb)
+        vals, errs = _eval_panels(f, np.array([pa, mid]), np.array([mid, pb]))
+        (v1, v2), (e1, e2) = vals.tolist(), errs.tolist()
+        total_val += v1 + v2 - pval
+        total_err += e1 + e2 - perr
+        heapq.heappush(heap, (-e1, pa, mid, depth + 1, v1, e1))
+        heapq.heappush(heap, (-e2, mid, pb, depth + 1, v2, e2))
+    # fixed-order reduction so identical inputs give bit-identical results
+    panels = sorted((entry[1], entry[4]) for entry in heap)
+    return float(math.fsum(v for _, v in panels))
+
+
+def quad_batch(f: Callable, lo, hi, rel_tol: float = 1e-9) -> np.ndarray:
+    """Integrals of f over each [lo[k], hi[k]], each to within
+    rel_tol * |its value|, as an array.
+
+    The panel rule and the stop of quad_adaptive, run on all intervals
+    together: f receives an (m, 15) array of abscissae and must act
+    elementwise.  Each round, every interval still above its tolerance
+    bisects the panels whose error is within 10x of its worst panel, and all
+    new panels are evaluated in one f call.  Each value is the fsum of its
+    own panels taken by left endpoint, so it does not depend on the other
+    intervals in the batch.  Raises DomainError for a non-finite integrand
+    and AccuracyError, with the worst interval's estimate and error bound,
+    when the depth or panel budget runs out.
+
+    On one interval the heap of quad_adaptive costs about half as much per
+    call, which is why both drivers exist.
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
                                  np.atleast_1d(np.asarray(hi, dtype=float)))
     if lo.ndim != 1:
         raise DomainError("interval endpoints must be scalars or 1-D arrays")
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise DomainError("interval endpoints must be finite")
-    if np.any(lo > hi):
-        raise DomainError("every interval needs lo <= hi")
+    _check_intervals(rel_tol, bool(np.isfinite(lo).all() and np.isfinite(hi).all()), not np.any(lo > hi))
     count = lo.size
     out = np.zeros(count)
     live = np.flatnonzero(lo < hi)  # zero-width intervals integrate to 0
@@ -331,7 +296,7 @@ def quad_batch(f: Callable, lo, hi, spec: QuadratureSpec = DEFAULT_QUAD) -> np.n
         owner = rows[:, 2].astype(np.intp)
         total_val = np.bincount(owner, rows[:, 4], count)
         total_err = np.bincount(owner, rows[:, 5], count)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_val))
+        tol = rel_tol * np.abs(total_val)
         todo = total_err > tol
         if not todo.any():
             break
@@ -340,7 +305,7 @@ def quad_batch(f: Callable, lo, hi, spec: QuadratureSpec = DEFAULT_QUAD) -> np.n
         split = todo[owner] & (10.0 * rows[:, 5] >= worst[owner])
         old = rows[split]
         spent = np.zeros(count, dtype=bool)
-        spent[old[old[:, 3] >= spec.max_depth, 2].astype(np.intp)] = True
+        spent[old[old[:, 3] >= _MAX_DEPTH, 2].astype(np.intp)] = True
         if len(rows) + len(old) > _MAX_PANELS:  # else no interval can pass it
             panels = np.bincount(owner, minlength=count) + np.bincount(owner[split], minlength=count)
             spent |= panels > _MAX_PANELS
@@ -523,10 +488,8 @@ def sincos_identity_sides(params: SinCosParams) -> tuple[float, float]:
     """Both sides of the identity sincos_recursion reduces, for a cross-check:
     (int_0^upper sin^a cos^b, sum_j T_j + coeff * int_0^upper sin^{a+2k+2} cos^b),
     the two integrals by quadrature at relative tolerance 1e-12."""
-    a, b, k = params.alpha, params.beta, params.k
-    iv = Interval(0.0, params.upper)
-    spec = QuadratureSpec(1e-12, 0.0, 60)
+    a, b, k, upper = params.alpha, params.beta, params.k, params.upper
     terms, coeff = sincos_recursion(params)
-    lhs = quad_adaptive(lambda t: np.sin(t) ** a * np.cos(t) ** b, iv, spec)
-    rem = quad_adaptive(lambda t: np.sin(t) ** (a + 2 * k + 2) * np.cos(t) ** b, iv, spec)
+    lhs = quad_adaptive(lambda t: np.sin(t) ** a * np.cos(t) ** b, 0.0, upper, 1e-12)
+    rem = quad_adaptive(lambda t: np.sin(t) ** (a + 2 * k + 2) * np.cos(t) ** b, 0.0, upper, 1e-12)
     return lhs, sum(terms) + coeff * rem

@@ -21,8 +21,6 @@ import numpy as np
 from .bodies import BodySpec, MarginalDensity, coordinate_marginal, normalization_scale
 from .errors import AccuracyError, DomainError, EstimationError, RangeError, whole
 from .mathkit import (
-    Interval,
-    QuadratureSpec,
     ball_volume_log,
     ball_volume_ratio,
     beta_tail,
@@ -63,10 +61,10 @@ BRACKET_LIMIT = 1e6
 _NORM_REL_TOL = 1e-10
 _INVERT_REL_TOL = 1e-9
 
-# Quadrature of every M representation (no absolute floor: values can be
-# arbitrarily tiny), and of the inner integrals of the nested ones.
-_QUAD = QuadratureSpec(abs_tol=0.0)
-_INNER_QUAD = QuadratureSpec(1e-10, 0.0)
+# Relative tolerances of the quadrature of every M representation, and of
+# the inner integrals of the nested ones.
+_QUAD = 1e-9
+_INNER_QUAD = 1e-10
 
 # from_coordinate sums M as one series in 1 - x once 1 - x is at most this.
 _EDGE = 0.25
@@ -104,10 +102,10 @@ def m_from_tail(marginal: MarginalDensity, s: float) -> float:
         return 0.0
 
     def outer(t):  # truncated first moment E[|X|; |X| >= 1/t] at every node
-        lo = np.minimum(1.0 / t, radius)
-        return quad_batch(lambda r: 2.0 * r * marginal.density(r), lo, radius, _INNER_QUAD)
+        lo = np.minimum(1.0 / t.ravel(), radius)
+        return quad_batch(lambda r: 2.0 * r * marginal.density(r), lo, radius, _INNER_QUAD).reshape(t.shape)
 
-    return quad_adaptive(outer, Interval(1.0 / radius, s), _QUAD)
+    return quad_adaptive(outer, 1.0 / radius, s, _QUAD)
 
 
 def m_from_tail_alt(marginal: MarginalDensity, s: float) -> float:
@@ -125,8 +123,8 @@ def m_from_tail_alt(marginal: MarginalDensity, s: float) -> float:
         return 0.0
 
     def survival(a):  # P(|X| >= a) at every node
-        lo = np.minimum(a, radius)
-        return quad_batch(lambda r: 2.0 * marginal.density(r), lo, radius, _INNER_QUAD)
+        lo = np.minimum(a.ravel(), radius)
+        return quad_batch(lambda r: 2.0 * marginal.density(r), lo, radius, _INNER_QUAD).reshape(a.shape)
 
     def hazard(t):
         return survival(1.0 / t) / t
@@ -134,8 +132,8 @@ def m_from_tail_alt(marginal: MarginalDensity, s: float) -> float:
     def excess(u):
         return survival(u) * (s - 1.0 / u)
 
-    term1 = quad_adaptive(hazard, Interval(1.0 / radius, s), _QUAD)
-    term2 = quad_adaptive(excess, Interval(1.0 / s, radius), _QUAD)
+    term1 = quad_adaptive(hazard, 1.0 / radius, s, _QUAD)
+    term2 = quad_adaptive(excess, 1.0 / s, radius, _QUAD)
     return term1 + term2
 
 
@@ -168,7 +166,7 @@ def _sin_cos_integral(a: float, b: float, theta_max: float) -> float:
         with np.errstate(divide="ignore"):
             return np.exp(a * np.log(np.sin(theta)) - b * np.log(np.cos(theta)))
 
-    return quad_adaptive(f, Interval(0.0, theta_max), _QUAD)
+    return quad_adaptive(f, 0.0, theta_max, _QUAD)
 
 
 def _double_radial(p: float, theta_max: float, power: float, m_exp: float) -> float:
@@ -183,10 +181,10 @@ def _double_radial(p: float, theta_max: float, power: float, m_exp: float) -> fl
 
     def outer(theta):
         ct = np.cos(theta)
-        inner = quad_batch(radial, ct ** (2.0 / p), 1.0, _INNER_QUAD)
+        inner = quad_batch(radial, (ct ** (2.0 / p)).ravel(), 1.0, _INNER_QUAD).reshape(ct.shape)
         return np.sin(theta) * ct ** (-(1.0 + 2.0 / p)) * inner
 
-    return quad_adaptive(outer, Interval(0.0, theta_max), _QUAD)
+    return quad_adaptive(outer, 0.0, theta_max, _QUAD)
 
 
 def m_pball_first(p: float, n: int, s: float) -> float:
@@ -335,9 +333,7 @@ def from_tail(marginal: MarginalDensity) -> OrliczFunction:
         if t * radius <= 1.0:
             return 0.0
         return quad_adaptive(
-            lambda r: 2.0 * np.asarray(marginal.density(r), dtype=float) * (t * r - 1.0),
-            Interval(1.0 / t, radius),
-            _QUAD,
+            lambda r: 2.0 * np.asarray(marginal.density(r), dtype=float) * (t * r - 1.0), 1.0 / t, radius, _QUAD
         )
 
     return OrliczFunction(eval=ev, zero_threshold=1.0 / radius, kind="tail-integral")
@@ -474,8 +470,8 @@ def from_spherical(n: int) -> OrliczFunction:
 # ---------------------------------------------------------------------------
 # duals, norms, inversion
 
-def _convexity_check(m: Callable[[float], float], grid_max: float, points: int = 33) -> None:
-    ts = np.linspace(0.0, grid_max, points)
+def _convexity_check(m: Callable[[float], float], grid_max: float) -> None:
+    ts = np.linspace(0.0, grid_max, 33)
     vals = np.array([m(float(t)) for t in ts])
     mids = np.array([m(float(t)) for t in 0.5 * (ts[:-1] + ts[1:])])
     slack = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
@@ -516,10 +512,10 @@ def legendre_dual(M: OrliczFunction, grid_max: float) -> OrliczFunction:
         t_star = 0.5 * (lo + hi) - grid_max
         return max(best, x * t_star - m(t_star))
 
-    # the dual vanishes below the smallest slope of M
-    probes = grid_max * np.logspace(-12.0, 0.0, 25)
-    slopes = [m(float(t)) / float(t) for t in probes]
-    return OrliczFunction(eval=ev, zero_threshold=float(min(slopes)), kind=M.kind)
+    # the dual vanishes below the smallest slope M(t)/t of M on the window,
+    # which is nondecreasing in t for convex M with M(0) = 0
+    probe = 1e-12 * grid_max
+    return OrliczFunction(eval=ev, zero_threshold=float(m(probe) / probe), kind=M.kind)
 
 
 def dual_involution_error(M: OrliczFunction, ts: Sequence[float]) -> float:

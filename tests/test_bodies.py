@@ -31,7 +31,7 @@ from orlicz_polytope.bodies import (
 from orlicz_polytope.cli import RNG_ALGORITHM
 from orlicz_polytope.errors import DomainError
 from orlicz_polytope.estimators import _parallel_map
-from orlicz_polytope.mathkit import Interval, QuadratureSpec, quad_adaptive
+from orlicz_polytope.mathkit import quad_adaptive
 
 INF = math.inf
 
@@ -125,11 +125,7 @@ class TestMarginalCoordinate:
         want = math.pi * scale**2
         assert coordinate_marginal(body).density(0.0) == pytest.approx(want, rel=1e-12)
         # cross-check by quadrature of the disk section width
-        section = quad_adaptive(
-            lambda x: 2.0 * np.sqrt(np.maximum(scale**2 - x**2, 0.0)),
-            Interval(-scale, scale),
-            QuadratureSpec(1e-10, 0.0, 60),
-        )
+        section = quad_adaptive(lambda x: 2.0 * np.sqrt(np.maximum(scale**2 - x**2, 0.0)), -scale, scale, 1e-10)
         assert coordinate_marginal(body).density(0.0) == pytest.approx(section, rel=1e-9)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 6.0, INF])
@@ -137,11 +133,7 @@ class TestMarginalCoordinate:
     def test_normalization(self, p, n):
         body = BodySpec(p, n)
         radius = normalization_scale(body)
-        total = quad_adaptive(
-            coordinate_marginal(body).density,
-            Interval(0.0, radius),
-            QuadratureSpec(1e-10, 0.0, 60),
-        )
+        total = quad_adaptive(coordinate_marginal(body).density, 0.0, radius, 1e-10)
         assert 2.0 * total == pytest.approx(1.0, abs=1e-8)
 
     def test_even_and_monotone(self):

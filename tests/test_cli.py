@@ -295,7 +295,8 @@ def test_import_loads_no_scipy():
 
 def test_tracer_installs_and_public_names_resolve():
     # the benchmark's tracer wraps package functions by name, so deleting or
-    # renaming one breaks every traced run; each module's __all__ must resolve
+    # renaming one breaks every traced run; each module's __all__ must resolve,
+    # and a traced closed-form check must reach the wrapped quadrature
     root = Path(orlicz.__file__).resolve().parents[2]
     code = "\n".join([
         "import sys",
@@ -305,7 +306,10 @@ def test_tracer_installs_and_public_names_resolve():
         "for mod in vars(pkg).values():",
         "    missing = [name for name in getattr(mod, '__all__', ()) if not hasattr(mod, name)]",
         "    assert not missing, (mod.__name__, missing)",
-        "tracing.Tracer().install(pkg)",
+        "tracer = tracing.Tracer()",
+        "tracer.install(pkg)",
+        "pkg.orlicz.representation_spread(2.0, 2, 0.5)",
+        "assert tracer.metrics()['mathkit.quad_calls'] > 0, tracer.metrics()",
     ])
     out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

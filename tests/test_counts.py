@@ -36,12 +36,9 @@ from orlicz_polytope.estimators import (
     sphere_average_m,
 )
 from orlicz_polytope.mathkit import (
-    Interval,
-    QuadratureSpec,
     SinCosParams,
     ball_volume_log,
     ball_volume_ratio,
-    quad_adaptive,
     sincos_recursion,
 )
 from orlicz_polytope.orlicz import (
@@ -77,8 +74,6 @@ ENTRIES = [
     ("marginal_general", "samples", 10_000, lambda v: marginal_general(BODY, AXIS, v, 5), None),
     ("ball_volume_log", "n", 1, lambda v: ball_volume_log(2.5, v), 3),
     ("ball_volume_ratio", "n", 2, lambda v: ball_volume_ratio(2.5, v), 3),
-    ("QuadratureSpec", "max_depth", 1,
-     lambda v: quad_adaptive(np.exp, Interval(0.0, 4.0), QuadratureSpec(1e-13, 0.0, v)), 3),
     ("SinCosParams", "k", 0, lambda v: sincos_recursion(SinCosParams(1.5, 0.5, 0.7, v)), 3),
     ("m_pball_first", "n", 1, lambda v: m_pball_first(1.5, v, 0.3), 3),
     ("m_pball_second", "n", 1, lambda v: m_pball_second(1.5, v, 0.3), None),

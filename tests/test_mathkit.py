@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orlicz_polytope import mathkit
 from orlicz_polytope.errors import AccuracyError, DegenerateParameterError, DomainError, RangeError
 from orlicz_polytope.mathkit import (
-    Interval,
-    QuadratureSpec,
     SinCosParams,
     ball_volume,
     ball_volume_log,
@@ -146,37 +145,47 @@ class TestBetaTail:
 
 class TestQuadAdaptive:
     def test_constant_and_sine(self):
-        assert quad_adaptive(lambda t: np.ones_like(t), Interval(0, 1)) == pytest.approx(1.0, abs=1e-12)
-        assert quad_adaptive(np.sin, Interval(0.0, math.pi)) == pytest.approx(2.0, rel=1e-10)
+        assert quad_adaptive(lambda t: np.ones_like(t), 0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert quad_adaptive(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-10)
 
     def test_endpoint_singularity(self):
-        got = quad_adaptive(lambda t: t**-0.5, Interval(0.0, 1.0))
+        got = quad_adaptive(lambda t: t**-0.5, 0.0, 1.0)
         assert got == pytest.approx(2.0, abs=1e-8)
 
     def test_deterministic(self):
         f = lambda t: np.exp(-t) * np.sin(7 * t)
-        a = quad_adaptive(f, Interval(0.0, 3.0))
-        b = quad_adaptive(f, Interval(0.0, 3.0))
+        a = quad_adaptive(f, 0.0, 3.0)
+        b = quad_adaptive(f, 0.0, 3.0)
         assert a == b  # bit-identical
 
-    def test_depth_exhaustion_carries_estimate(self):
-        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=3)
+    def test_depth_exhaustion_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(mathkit, "_MAX_DEPTH", 3)
         with pytest.raises(AccuracyError) as err:
-            quad_adaptive(lambda t: t**-0.5, Interval(0.0, 1.0), spec)
+            quad_adaptive(lambda t: t**-0.5, 0.0, 1.0, 1e-13)
         assert err.value.estimate == pytest.approx(2.0, rel=0.1)
         assert err.value.error_bound > 0
 
     def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(abs_tol=-1.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_depth=0)
-        with pytest.raises(DomainError):
-            Interval(2.0, 1.0)
-        with pytest.raises(DomainError):
-            Interval(0.0, math.inf)
+        for quad in (quad_adaptive, quad_batch):
+            with pytest.raises(DomainError, match="rel_tol must be positive"):
+                quad(np.sin, 0.0, 1.0, 0.0)
+            with pytest.raises(DomainError, match="lo <= hi"):
+                quad(np.sin, 2.0, 1.0)
+            with pytest.raises(DomainError, match="endpoints must be finite"):
+                quad(np.sin, 0.0, math.inf)
+
+    def test_one_integrand_call_per_bisection(self):
+        # the first panel is one (1, 15) node row, and both halves of each
+        # bisection are evaluated together as (2, 15)
+        shapes = []
+
+        def f(t):
+            shapes.append(t.shape)
+            return t**-0.5
+
+        assert quad_adaptive(f, 0.0, 1.0) == pytest.approx(2.0, abs=1e-8)
+        assert shapes[0] == (1, 15) and len(shapes) > 1
+        assert set(shapes[1:]) == {(2, 15)}
 
     @settings(deadline=None, max_examples=40, derandomize=True)
     @given(
@@ -186,7 +195,7 @@ class TestQuadAdaptive:
     def test_polynomials_exact(self, coeffs, hi):
         poly = np.polynomial.Polynomial(coeffs)
         exact = poly.integ()(hi) - poly.integ()(0.0)
-        got = quad_adaptive(lambda t: poly(t), Interval(0.0, hi))
+        got = quad_adaptive(lambda t: poly(t), 0.0, hi)
         assert got == pytest.approx(exact, rel=1e-9, abs=1e-9)
 
     def test_cumulative_matches_adaptive(self):
@@ -205,15 +214,23 @@ class TestQuadBatch:
         "damped-sine": lambda t: np.exp(-t) * np.sin(7 * t),
         "sqrt-edge": lambda t: np.sqrt(np.maximum(1.0 - t, 0.0)),
     }
+    ANTIDERIVATIVES = {
+        "inverse-sqrt": lambda t: 2.0 * math.sqrt(t),
+        "damped-sine": lambda t: -math.exp(-t) * (math.sin(7 * t) + 7 * math.cos(7 * t)) / 50.0,
+        "sqrt-edge": lambda t: -2.0 / 3.0 * max(1.0 - t, 0.0) ** 1.5,
+    }
 
     @pytest.mark.parametrize("name", sorted(INTEGRANDS))
     def test_matches_adaptive_within_spec(self, name):
-        f = self.INTEGRANDS[name]
-        spec = QuadratureSpec(1e-10, 0.0, 60)
-        got = quad_batch(f, self.LO, self.HI, spec)
+        # both drivers share one panel rule, so only the exact integral can
+        # catch a fault in it
+        f, F = self.INTEGRANDS[name], self.ANTIDERIVATIVES[name]
+        got = quad_batch(f, self.LO, self.HI, 1e-10)
         for a, b, v in zip(self.LO, self.HI, got):
-            want = quad_adaptive(f, Interval(a, b), spec)
+            want = quad_adaptive(f, a, b, 1e-10)
             assert v == pytest.approx(want, rel=2e-10, abs=0.0)
+            assert v == pytest.approx(F(b) - F(a), rel=1e-10, abs=0.0)
+            assert want == pytest.approx(F(b) - F(a), rel=1e-10, abs=0.0)
 
     def test_inverse_sqrt_on_unit_interval(self):
         assert quad_batch(lambda t: t**-0.5, 0.0, 1.0)[0] == pytest.approx(2.0, abs=1e-8)
@@ -251,10 +268,10 @@ class TestQuadBatch:
         with pytest.raises(DomainError):
             quad_batch(np.sin, 0.0, math.inf)
 
-    def test_depth_exhaustion_carries_estimate(self):
-        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=3)
+    def test_depth_exhaustion_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(mathkit, "_MAX_DEPTH", 3)
         with pytest.raises(AccuracyError) as err:
-            quad_batch(lambda t: t**-0.5, [0.5, 0.0], [1.0, 1.0], spec)
+            quad_batch(lambda t: t**-0.5, [0.5, 0.0], [1.0, 1.0], 1e-13)
         assert err.value.estimate == pytest.approx(2.0, rel=0.1)
         assert err.value.error_bound > 0
 
@@ -354,14 +371,14 @@ class TestSinCosRecursion:
     def test_depth_zero_example(self):
         # alpha=2, beta=0, upper=pi/4: T_1 + R_0 * int sin^4 == int sin^2 = pi/8 - 1/4
         terms, coeff = sincos_recursion(SinCosParams(2.0, 0.0, math.pi / 4, 0))
-        remainder = quad_adaptive(lambda t: np.sin(t) ** 4, Interval(0.0, math.pi / 4))
+        remainder = quad_adaptive(lambda t: np.sin(t) ** 4, 0.0, math.pi / 4)
         assert sum(terms) + coeff * remainder == pytest.approx(math.pi / 8 - 0.25, abs=1e-10)
 
     def test_depth_two_vs_quadrature(self):
         upper = math.pi / 3
         terms, coeff = sincos_recursion(SinCosParams(1.0, 1.0, upper, 2))
-        lhs = quad_adaptive(lambda t: np.sin(t) * np.cos(t), Interval(0.0, upper))
-        remainder = quad_adaptive(lambda t: np.sin(t) ** 7 * np.cos(t), Interval(0.0, upper))
+        lhs = quad_adaptive(lambda t: np.sin(t) * np.cos(t), 0.0, upper)
+        remainder = quad_adaptive(lambda t: np.sin(t) ** 7 * np.cos(t), 0.0, upper)
         assert sum(terms) + coeff * remainder == pytest.approx(lhs, abs=1e-10)
 
     def test_upper_zero(self):
