@@ -25,7 +25,6 @@ from .errors import (
 from .estimators import (
     DirectionScan,
     EstimateReport,
-    PolytopeExperiment,
     ScanResult,
     direction_measure_scan,
     expected_support_mc,

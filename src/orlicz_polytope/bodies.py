@@ -118,9 +118,9 @@ class Direction:
         object.__setattr__(self, "coords", c)
         if c.ndim != 1 or c.size < 1:
             raise DomainError("direction must be a 1-D vector")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise DomainError("direction coordinates must be finite")
-        if abs(float(np.linalg.norm(c)) - 1.0) > 1e-12:
+        if abs(math.sqrt(c @ c) - 1.0) > 1e-12:
             raise DomainError("direction must be a unit vector (|norm - 1| <= 1e-12)")
 
     @classmethod

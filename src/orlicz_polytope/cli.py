@@ -26,7 +26,6 @@ from . import __version__, orlicz
 from .bodies import BodySpec, Direction, coordinate_ks, derive_seed, sample_sphere
 from .errors import AccuracyError, DomainError, HypothesisError, RangeError
 from .estimators import (
-    PolytopeExperiment,
     build_direction_orlicz,
     direction_measure_scan,
     expected_support_mc,
@@ -335,7 +334,7 @@ def cmd_estimate(cfg: RunConfig, out: Path, timings: dict) -> int:
     N = cfg.N[0]
     orlicz_value = expected_support_orlicz(body, direction, N, seed=cfg.seed)
     if cfg.trials > 0:
-        rep = expected_support_mc(PolytopeExperiment(body, N, direction, cfg.trials, cfg.seed), cfg.threads)
+        rep = expected_support_mc(body, direction, N, cfg.trials, cfg.seed, cfg.threads)
         mc_mean, ci = rep.mc_mean, list(rep.mc_ci95)
         ratio = mc_mean / orlicz_value if orlicz_value else None
         timings["mc_s"] = rep.meta.get("elapsed_s")

@@ -52,7 +52,6 @@ from .orlicz import (
 )
 
 __all__ = [
-    "PolytopeExperiment",
     "EstimateReport",
     "MCValue",
     "ScanRow",
@@ -86,27 +85,7 @@ _BLAS_SUFFIXES = ("64_", "")
 
 
 # ---------------------------------------------------------------------------
-# experiment descriptions and reports
-
-@dataclass(frozen=True)
-class PolytopeExperiment:
-    """One support-function experiment: N vertex pairs in a body."""
-
-    body: BodySpec
-    N: int
-    direction: object = 0  # Direction, or canonical axis index
-    mc_trials: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "N", whole(self.N, "N"))
-        object.__setattr__(self, "mc_trials", whole(self.mc_trials, "mc_trials", 2))
-        if self.N < self.body.n:
-            warnings.warn("N below the dimension: the polytope is degenerate", stacklevel=2)
-
-    def resolved_direction(self) -> Direction:
-        return _resolve_direction(self.body, self.direction)
-
+# reports
 
 @dataclass(frozen=True)
 class MCValue:
@@ -170,11 +149,14 @@ def _resolve_direction(body: BodySpec, direction) -> Direction:
     return direction
 
 
-def _coordinate_law(body: BodySpec, theta: Direction) -> bool:
-    """Whether <X, theta> has the law of the first coordinate: for p = 2,
-    and on an axis (either sign)."""
-    c = theta.coords
-    return body.p == 2.0 or (np.count_nonzero(c) == 1 and abs(np.abs(c).max() - 1.0) < 1e-12)
+def _coordinate_law(body: BodySpec, rows: np.ndarray) -> np.ndarray:
+    """Per unit row theta, whether <X, theta> has the law of the first
+    coordinate: every row for p = 2, and an axis, the one nonzero
+    coordinate of a unit row being +-1 to within its norm's 1e-12."""
+    # on Python lists: most calls hold one row, and numpy's reductions on
+    # one short row cost more than the row itself
+    rows = np.atleast_2d(rows).tolist()
+    return np.array([body.p == 2.0 or len(row) - row.count(0.0) == 1 for row in rows], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +175,10 @@ def build_direction_orlicz(
     p = 2 in every direction.
     Other directions use the empirical measure of proj_samples projections.
     """
-    atoms = _direction_atoms(body, direction, proj_samples, seed)
-    return from_coordinate(body) if atoms is None else from_empirical(atoms)
-
-
-def _direction_atoms(body: BodySpec, direction, proj_samples: int, seed: int) -> Optional[np.ndarray]:
-    """The proj_samples projections on theta that stand in for the marginal,
-    or None where the exact coordinate marginal serves (canonical axes, and
-    p = 2 in every direction)."""
     theta = _resolve_direction(body, direction)
-    if _coordinate_law(body, theta):
-        return None
-    return project_uniform(body, theta, proj_samples, derive_seed(seed, "marginal"))
+    if _coordinate_law(body, theta.coords)[0]:
+        return from_coordinate(body)
+    return from_empirical(project_uniform(body, theta, proj_samples, derive_seed(seed, "marginal")))
 
 
 def expected_support_orlicz(
@@ -215,19 +189,9 @@ def expected_support_orlicz(
     seed: int = 0,
 ) -> float:
     """Support-function estimate: invert the direction's Orlicz function at 1/N."""
-    return _support_estimates(body, direction, [N], proj_samples, seed)[0]
-
-
-def _support_estimates(body: BodySpec, direction, levels, proj_samples: int, seed: int) -> list[float]:
-    """The direction's Orlicz function inverted at each 1/N of levels, from
-    one draw of its projections.  On projections each inversion is the
-    closed-form root (empirical_roots) of their empirical M, which neither
-    sorts every atom nor searches."""
-    atoms = _direction_atoms(body, direction, proj_samples, seed)
-    if atoms is None:
-        M = from_coordinate(body)
-        return [invert_for_support(M, N) for N in levels]
-    return [float(empirical_roots(atoms, N)[0]) for N in levels]
+    theta = _resolve_direction(body, direction)
+    seed = derive_seed(seed, "marginal")
+    return float(direction_support_profile(body, theta.coords, N, seed, proj_samples)[0])
 
 
 def direction_support_profile(
@@ -237,32 +201,43 @@ def direction_support_profile(
     seed: int = 0,
     proj_samples: int = DEFAULT_PROJ_SAMPLES,
 ) -> np.ndarray:
-    """Orlicz estimates for each unit row of dirs: one exact inversion for
-    p = 2, else the closed-form roots (empirical_roots) of the rows'
-    projections of one cloud of proj_samples uniform points drawn from
-    seed, which holds 8 * proj_samples * n bytes (229 MiB at 10^6, n = 30).
+    """Orlicz estimates for each unit row of dirs, the law decided per row
+    (_coordinate_law): one exact inversion per level serves every row with
+    the coordinate law; the other rows take the closed-form roots
+    (empirical_roots) of their projections of proj_samples uniform points
+    drawn from seed.  A single such row streams its projections
+    (project_uniform); several share one cloud, which holds
+    8 * proj_samples * n bytes (229 MiB at 10^6, n = 30).
 
     N is one level or a sequence of them; a sequence gives one row of
-    estimates per N, all from the one cloud."""
+    estimates per N, all from the one draw."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    norms = np.linalg.norm(dirs, axis=-1)
-    if dirs.ndim != 2 or dirs.shape[1] != body.n or not np.all(np.abs(norms - 1.0) <= 1e-12):
+    # row norms on Python lists, as in _coordinate_law
+    if (dirs.ndim != 2 or dirs.shape[1] != body.n
+            or not all(abs(math.hypot(*row) - 1.0) <= 1e-12 for row in dirs.tolist())):
         raise DomainError("direction rows must be unit vectors of length n (|norm - 1| <= 1e-12)")
-    levels = [whole(level, "N") for level in np.atleast_1d(N)]
+    scalar = np.ndim(N) == 0
+    levels = [whole(level, "N") for level in ([N] if scalar else N)]
     out = np.empty((len(levels), dirs.shape[0]))
-    if body.p == 2.0:
+    exact = _coordinate_law(body, dirs)
+    off = (~exact).nonzero()[0]
+    if off.size < exact.size:
         M = from_coordinate(body)
         for row, level in zip(out, levels):
-            row[:] = invert_for_support(M, level)
-    else:
+            row[exact] = invert_for_support(M, level)
+    if off.size == 1:
+        atoms = project_uniform(body, Direction(dirs[off[0]]), proj_samples, seed)
+        out[:, off[0]] = [empirical_roots(atoms, level)[0] for level in levels]
+    elif off.size > 1:
         cloud = sample_uniform(body, proj_samples, seed)
         # each direction's projections fill one contiguous row: partitioning
         # down the columns of cloud @ dirs.T instead took twice as long
-        for lo in range(0, dirs.shape[0], _SCAN_BLOCK):
-            product = dirs[lo : lo + _SCAN_BLOCK] @ cloud.T
+        for lo in range(0, off.size, _SCAN_BLOCK):
+            block = off[lo : lo + _SCAN_BLOCK]
+            product = dirs[block] @ cloud.T
             for row, level in zip(out, levels):
-                row[lo : lo + _SCAN_BLOCK] = empirical_roots(product, level)
-    return out if np.ndim(N) else out[0]
+                row[block] = empirical_roots(product, level)
+    return out[0] if scalar else out
 
 
 def mean_width_orlicz_report(
@@ -284,8 +259,8 @@ def mean_width_orlicz_report(
     levels = np.atleast_1d(N)
     n_dirs = whole(n_dirs, "n_dirs", 100)
     if body.p == 2.0:
-        M = from_coordinate(body)
-        reports = [MCValue(invert_for_support(M, level), 0.0, 1, seed) for level in levels]
+        values = direction_support_profile(body, np.eye(1, body.n), levels, seed, proj_samples)
+        reports = [MCValue(float(row[0]), 0.0, 1, seed) for row in values]
     else:
         dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "mw-dirs"))
         values = direction_support_profile(body, dirs, levels, derive_seed(seed, "mw-cloud"), proj_samples)
@@ -301,7 +276,7 @@ def mean_width_orlicz_report(
 
 def _support_trial(body: BodySpec, theta: Direction, N: int, seed: int, trial: int) -> float:
     trial_seed = derive_seed(seed, "esup", trial)
-    if _coordinate_law(body, theta):
+    if _coordinate_law(body, theta.coords)[0]:
         proj = sample_coordinate(body, N, trial_seed)
     else:
         proj = project_uniform(body, theta, N, trial_seed)
@@ -384,10 +359,21 @@ def _mc_oracle(trial, args: tuple, threads: int, meta: dict) -> EstimateReport:
     return EstimateReport(mc_mean=mean, mc_ci95=(mean - half, mean + half), meta=meta)
 
 
-def expected_support_mc(exp: PolytopeExperiment, threads: int = 1) -> EstimateReport:
-    """Monte Carlo oracle for E max_i |<X_i, theta>| with a 95% CI."""
-    meta = {"seed": exp.seed, "trials": exp.mc_trials, "N": exp.N, "statistic": "max-abs-projection"}
-    return _mc_oracle(_support_trial, (exp.body, exp.resolved_direction(), exp.N, exp.seed), threads, meta)
+def expected_support_mc(
+    body: BodySpec,
+    direction,
+    N: int,
+    trials: int = 200,
+    seed: int = 0,
+    threads: int = 1,
+) -> EstimateReport:
+    """Monte Carlo oracle for E max_i |<X_i, theta>| over N vertex pairs,
+    with a 95% CI."""
+    N, trials = whole(N, "N"), whole(trials, "trials", 2)
+    if N < body.n:
+        warnings.warn("N below the dimension: the polytope is degenerate", stacklevel=2)
+    meta = {"seed": seed, "trials": trials, "N": N, "statistic": "max-abs-projection"}
+    return _mc_oracle(_support_trial, (body, _resolve_direction(body, direction), N, seed), threads, meta)
 
 
 def mean_width_mc(
@@ -543,9 +529,10 @@ def direction_measure_scan(
     The upper/lower thresholds are 4x and 1/4x the median estimate;
     fraction_upper (resp. fraction_lower) is the measure of directions at
     or below (resp. at or above) them, reported next to the orders the
-    two-sided theory predicts for level r.
+    two-sided theory predicts for level r.  N is at least 2: the calibration
+    scale L_K sqrt(log N) is 0 at N = 1.
     """
-    n_dirs = whole(n_dirs, "n_dirs", 1000)
+    N, n_dirs = whole(N, "N", 2), whole(n_dirs, "n_dirs", 1000)
     if not r > 0:
         raise DomainError("r must be positive")
     dirs = sample_sphere(body.n, n_dirs, derive_seed(seed, "scan-dirs"))
@@ -588,13 +575,16 @@ def scaling_fit(rows: Sequence[tuple[int, float]], x_transform: str = "log-log-N
     if x_transform == "log-log-N":
         if np.any(vals <= 0):
             raise DomainError("log transform needs positive values")
-        x = np.log(np.log(ns))
+        with np.errstate(divide="ignore", invalid="ignore"):  # refused below
+            x = np.log(np.log(ns))
         y = np.log(vals)
     elif x_transform == "log-N":
         x = np.log(ns)
         y = vals**2
     else:
         raise DomainError(f"unknown transform {x_transform!r}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError(f"the {x_transform} transform of the rows is not finite")
     if np.ptp(x) <= 0:
         raise DomainError("degenerate x-range")
     slope, intercept = np.polyfit(x, y, 1)
@@ -628,10 +618,12 @@ def run_support_scan(
 ) -> ScanResult:
     """Support-function law scan over N; fits log(est) vs log(log N)."""
     _check_grid(N_grid)
-    estimates = _support_estimates(body, direction, [int(N) for N in N_grid], proj_samples, seed)
+    theta = _resolve_direction(body, direction)
+    seed_marginal = derive_seed(seed, "marginal")
+    estimates = direction_support_profile(body, theta.coords, N_grid, seed_marginal, proj_samples)[:, 0]
 
     def oracle(N: int) -> EstimateReport:
-        return expected_support_mc(PolytopeExperiment(body, N, direction, trials, seed), threads)
+        return expected_support_mc(body, direction, N, trials, seed, threads)
 
     return _scan(N_grid, estimates, oracle, trials, "log-log-N")
 

@@ -273,9 +273,9 @@ def spherical_prefactor(n: int) -> float:
 # constructors
 
 def from_power(exponent: float, coeff: float = 1.0) -> OrliczFunction:
-    """M(t) = coeff * t^exponent (exponent >= 1, coeff > 0)."""
-    if exponent < 1.0 or coeff <= 0:
-        raise DomainError("power Orlicz functions need exponent >= 1 and coeff > 0")
+    """M(t) = coeff * t^exponent (1 <= exponent < inf, 0 < coeff < inf)."""
+    if not (1.0 <= exponent < math.inf and 0.0 < coeff < math.inf):
+        raise DomainError("power Orlicz functions need 1 <= exponent < inf and 0 < coeff < inf")
 
     def ev(t: float) -> float:
         _check_t(t)

@@ -24,7 +24,6 @@ from orlicz_polytope.bodies import (
     normalization_scale,
 )
 from orlicz_polytope.estimators import (
-    PolytopeExperiment,
     expected_support_mc,
     expected_support_orlicz,
     mean_width_mc,
@@ -88,8 +87,7 @@ def support_table():
         for N in N_GRID_FULL:
             table[(p, N, "orlicz")] = expected_support_orlicz(body, 0, N)
         for N in N_GRID_MC:
-            exp = PolytopeExperiment(body, N, 0, mc_trials=200, seed=SEED)
-            rep = expected_support_mc(exp, threads=THREADS)
+            rep = expected_support_mc(body, 0, N, trials=200, seed=SEED, threads=THREADS)
             table[(p, N, "mc")] = rep.mc_mean
             table[(p, N, "mc_se")] = (rep.mc_ci95[1] - rep.mc_mean) / 1.96
     table["elapsed"] = time.perf_counter() - t0

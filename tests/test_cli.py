@@ -226,6 +226,12 @@ class TestScanCommand:
     def test_single_N_exit_2(self, tmp_path):
         assert run(tmp_path, "scan", "--p", "1", "--n", "5", "--N", "100", "--trials", "0") == 2
 
+    def test_N_of_one_exit_3(self, tmp_path, capsys):
+        # log(log 1) = -inf: the fit refuses it as a numeric error
+        grid = ["--N", "1", "--N", "10", "--N", "100", "--N", "1000"]
+        assert run(tmp_path, "scan", "--p", "2", "--n", "3", *grid, "--trials", "0") == 3
+        assert "log-log-N transform of the rows is not finite" in capsys.readouterr().err
+
     def test_manifest_replay_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -271,6 +277,11 @@ class TestDirectionsCommand:
         lines = (tmp_path / "out" / "directions.csv").read_text().strip().split("\n")
         assert len(lines) == 1001
         assert set(read_json(tmp_path, "timings.json")) == {"total_s"}
+
+    def test_N_of_one_exit_3(self, tmp_path, capsys):
+        # the calibration scale L_K sqrt(log N) is 0 at N = 1
+        assert run(tmp_path, "directions", "--p", "2", "--n", "3", "--N", "1") == 3
+        assert "N must be an integer of at least 2, got 1" in capsys.readouterr().err
 
     def test_large_p_table_is_finite_and_exact(self, tmp_path):
         # at p = 50 the grid's x = (tR)^-p reaches 1e-200; the stop-loss

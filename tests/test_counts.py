@@ -23,7 +23,6 @@ from orlicz_polytope.bodies import (
 from orlicz_polytope import errors
 from orlicz_polytope.errors import DomainError
 from orlicz_polytope.estimators import (
-    PolytopeExperiment,
     direction_measure_scan,
     direction_support_profile,
     expected_support_mc,
@@ -80,10 +79,9 @@ ENTRIES = [
     ("m_spherical", "n", 2, lambda v: m_spherical(v, 2.0), 3),
     ("invert_for_support", "N", 1, lambda v: invert_for_support(from_pball(2.0, 3), v), 1000),
     ("empirical_roots", "N", 1, lambda v: empirical_roots(ATOMS, v), 1000),
-    ("PolytopeExperiment.N", "N", 1,
-     lambda v: expected_support_mc(PolytopeExperiment(BODY, v, 0, 3, 5)).mc_mean, 1000),
-    ("PolytopeExperiment.mc_trials", "mc_trials", 2,
-     lambda v: expected_support_mc(PolytopeExperiment(BODY, 100, 0, v, 5)).mc_mean, 3),
+    ("expected_support_mc.N", "N", 1, lambda v: expected_support_mc(BODY, 0, v, 3, 5).mc_mean, 1000),
+    ("expected_support_mc.trials", "trials", 2,
+     lambda v: expected_support_mc(BODY, 0, 100, v, 5).mc_mean, 3),
     ("mean_width_mc.N", "N", 1, lambda v: mean_width_mc(BODY, v, 3, 4, 5).mc_mean, 1000),
     ("mean_width_mc.trials", "trials", 2, lambda v: mean_width_mc(BODY, 100, v, 4, 5).mc_mean, 3),
     ("mean_width_mc.n_dirs", "n_dirs", 1, lambda v: mean_width_mc(BODY, 100, 3, v, 5).mc_mean, 3),
@@ -92,6 +90,8 @@ ENTRIES = [
     ("mean_width_orlicz_report.ball", "n_dirs", 100, lambda v: mean_width_orlicz_report(BALL, 100, v, 5).value, 1000),
     ("direction_measure_scan", "n_dirs", 1000,
      lambda v: direction_measure_scan(BODY, 100, 0.5, v, 5, proj_samples=1000).estimates, 1000),
+    ("direction_measure_scan.N", "N", 2,
+     lambda v: direction_measure_scan(BODY, v, 0.5, 1000, 5, proj_samples=1000).estimates, 1000),
     ("direction_support_profile", "N", 1, lambda v: direction_support_profile(BODY, DIRS, v, 5, 1000), 1000),
     ("run_support_scan", "N", 1,
      lambda v: run_support_scan(BODY, 0, [v, 2000, 3000, 4000], trials=0), None),

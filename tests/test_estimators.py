@@ -23,7 +23,6 @@ from orlicz_polytope.bodies import (
 from orlicz_polytope import bodies, estimators
 from orlicz_polytope.errors import DomainError, HypothesisError
 from orlicz_polytope.estimators import (
-    PolytopeExperiment,
     build_direction_orlicz,
     check_profile_hypotheses,
     direction_measure_scan,
@@ -137,7 +136,7 @@ class TestExpectedSupportOrlicz:
         with pytest.raises(DomainError, match=match):
             expected_support_orlicz(body, direction, 100, proj_samples=1000)
         with pytest.raises(DomainError, match=match):
-            expected_support_mc(PolytopeExperiment(body, 100, direction, mc_trials=2))
+            expected_support_mc(body, direction, 100, trials=2)
         with pytest.raises(DomainError, match=match):
             run_support_scan(body, direction, [100, 200, 300, 400], trials=2, proj_samples=1000)
 
@@ -145,23 +144,20 @@ class TestExpectedSupportOrlicz:
 class TestExpectedSupportMC:
     def test_interval_order_statistics(self):
         # E max of 3 uniform |coords| on [0, 1/2] is (3/4)(1/2) = 0.375
-        exp = PolytopeExperiment(BodySpec(INF, 1), 3, 0, mc_trials=10**4, seed=42)
-        rep = expected_support_mc(exp)
+        rep = expected_support_mc(BodySpec(INF, 1), 0, 3, trials=10**4, seed=42)
         lo, hi = rep.mc_ci95
         assert lo <= 0.375 <= hi
 
     def test_cube_coordinate_independence(self):
         # same per-coordinate law in any dimension (N < n is fine here)
         with pytest.warns(UserWarning):
-            exp = PolytopeExperiment(BodySpec(INF, 7), 3, 2, mc_trials=4000, seed=43)
-        rep = expected_support_mc(exp)
+            rep = expected_support_mc(BodySpec(INF, 7), 2, 3, trials=4000, seed=43)
         assert rep.mc_mean == pytest.approx(0.375, abs=4 * (rep.mc_ci95[1] - rep.mc_mean) / 1.96 + 0.003)
 
     def test_bounded_by_support(self):
         for p in (1.0, 2.0, INF):
             body = BodySpec(p, 5)
-            exp = PolytopeExperiment(body, 200, 0, mc_trials=50, seed=7)
-            rep = expected_support_mc(exp)
+            rep = expected_support_mc(body, 0, 200, trials=50, seed=7)
             assert rep.mc_mean <= support_function(body, Direction.canonical(5, 0)) + 1e-12
 
     def test_monotone_in_N_with_shared_seed(self):
@@ -175,9 +171,8 @@ class TestExpectedSupportMC:
 
     def test_parallel_matches_serial(self):
         for p, direction in ((1.0, 0), (1.5, [1.0, 2.0, -1.0])):
-            exp = PolytopeExperiment(BodySpec(p, 3), 50, direction, mc_trials=12, seed=3)
-            a = expected_support_mc(exp, threads=1)
-            b = expected_support_mc(exp, threads=3)
+            a = expected_support_mc(BodySpec(p, 3), direction, 50, trials=12, seed=3, threads=1)
+            b = expected_support_mc(BodySpec(p, 3), direction, 50, trials=12, seed=3, threads=3)
             assert a.mc_mean == b.mc_mean
             assert a.mc_ci95 == b.mc_ci95
 
@@ -186,8 +181,8 @@ class TestExpectedSupportMC:
         # two chunks per trial: two fill threads on the caller's thread, one
         # in a trial thread; every trial runs in the caller's process, and
         # frequent thread switches move no bit
-        exp = PolytopeExperiment(BodySpec(1.5, 6), 70000, direction, mc_trials=5, seed=8)
-        serial = expected_support_mc(exp, threads=1)
+        args = (BodySpec(1.5, 6), direction, 70000, 5, 8)
+        serial = expected_support_mc(*args, threads=1)
         pids, trial = [], estimators._support_trial
 
         def recording(*args):
@@ -199,7 +194,7 @@ class TestExpectedSupportMC:
         sys.setswitchinterval(1e-5)
         try:
             for threads in (1, 2, 3):
-                rep = expected_support_mc(exp, threads=threads)
+                rep = expected_support_mc(*args, threads=threads)
                 assert (rep.mc_mean, rep.mc_ci95) == (serial.mc_mean, serial.mc_ci95)
         finally:
             sys.setswitchinterval(interval)
@@ -218,16 +213,14 @@ class TestExpectedSupportMC:
     def test_oracle_routing(self, p, direction, marginal):
         # the coordinate law is drawn directly; other directions project points
         body = BodySpec(p, 6)
-        exp = PolytopeExperiment(body, 300, direction, mc_trials=4, seed=19)
-        theta = exp.resolved_direction()
 
         def draw(seed):
             if marginal:
                 return sample_coordinate(body, 300, seed)
-            return project_uniform(body, theta, 300, seed)
+            return project_uniform(body, Direction.from_vector(direction), 300, seed)
 
         want = [float(np.max(np.abs(draw(derive_seed(19, "esup", t))))) for t in range(4)]
-        assert expected_support_mc(exp).mc_mean == float(np.mean(want))
+        assert expected_support_mc(body, direction, 300, trials=4, seed=19).mc_mean == float(np.mean(want))
 
     @pytest.mark.parametrize("threads, workers", [(64, 10), (4, 4)])
     def test_pool_capped_at_trial_count(self, monkeypatch, threads, workers):
@@ -239,16 +232,16 @@ class TestExpectedSupportMC:
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        exp = PolytopeExperiment(BodySpec(1.0, 3), 50, 0, mc_trials=10, seed=3)
-        serial = expected_support_mc(exp, threads=1)
+        args = (BodySpec(1.0, 3), 0, 50, 10, 3)
+        serial = expected_support_mc(*args, threads=1)
         monkeypatch.setattr(bodies, "ThreadPoolExecutor", RecordingPool)
-        assert expected_support_mc(exp, threads=threads).mc_mean == serial.mc_mean
+        assert expected_support_mc(*args, threads=threads).mc_mean == serial.mc_mean
         assert started == [workers]
 
     def test_refuses_one_trial(self):
         # one trial has no standard deviation, so no confidence interval
         with pytest.raises(DomainError):
-            PolytopeExperiment(BodySpec(INF, 3), 2, 0, mc_trials=1, seed=0)
+            expected_support_mc(BodySpec(INF, 3), 0, 2, trials=1, seed=0)
         with pytest.raises(DomainError):
             mean_width_mc(BodySpec(2.0, 3), 10, trials=1, n_dirs=4)
 
@@ -256,19 +249,19 @@ class TestExpectedSupportMC:
     def test_trial_count_is_an_integer(self, trials):
         match = "trials must be an integer of at least 2"
         with pytest.raises(DomainError, match=match):
-            PolytopeExperiment(BodySpec(INF, 3), 2, 0, mc_trials=trials, seed=0)
+            expected_support_mc(BodySpec(INF, 3), 0, 2, trials=trials, seed=0)
         with pytest.raises(DomainError, match=match):
             mean_width_mc(BodySpec(2.0, 3), 10, trials=trials, n_dirs=4)
 
     def test_integral_trial_count_is_stored_as_int(self):
-        exp = PolytopeExperiment(BodySpec(INF, 3), 3, 0, mc_trials=3.0, seed=0)
-        assert type(exp.mc_trials) is int and exp.mc_trials == 3
+        rep = expected_support_mc(BodySpec(INF, 3), 0, 3, trials=3.0, seed=0)
+        assert type(rep.meta["trials"]) is int and rep.meta["trials"] == 3
         rep = mean_width_mc(BodySpec(2.0, 3), 10, trials=3.0, n_dirs=4)
         assert rep.meta["trials"] == 3 and rep.mc_mean == mean_width_mc(BodySpec(2.0, 3), 10, 3, 4).mc_mean
 
     def test_warns_below_dimension(self):
         with pytest.warns(UserWarning):
-            PolytopeExperiment(BodySpec(2.0, 10), 5, 0, mc_trials=30, seed=0)
+            expected_support_mc(BodySpec(2.0, 10), 0, 5, trials=30, seed=0)
 
 
 class TestMeanWidth:
@@ -362,7 +355,7 @@ class TestMeanWidth:
                 assert entered == [True] and read == [{1}] * 8
                 assert {getter() for getter, _ in controls} == {2}
                 # the support trial uses no BLAS and never enters the helper
-                expected_support_mc(PolytopeExperiment(BodySpec(1.5, 30), 5000, theta, 4, 1), threads=threads)
+                expected_support_mc(BodySpec(1.5, 30), theta, 5000, 4, 1, threads=threads)
                 assert entered == [True] and {getter() for getter, _ in controls} == {2}
         finally:
             for (_, setter), count in zip(controls, saved):
@@ -466,7 +459,7 @@ class TestGeneralUpperBound:
         body = BodySpec(3.0, 50)
         marg = coordinate_marginal(body)
         bound = general_upper_bound(marg, 1000)
-        rep = expected_support_mc(PolytopeExperiment(body, 1000, 0, mc_trials=40, seed=2))
+        rep = expected_support_mc(body, 0, 1000, trials=40, seed=2)
         assert 0 < bound <= normalization_scale(body)
         # the theorem's inequality holds up to an absolute constant
         assert rep.mc_mean / bound < 10.0
@@ -501,6 +494,27 @@ class TestDirectionScan:
         for got in (scan.estimates, profile):
             assert np.all(np.abs(got - want) <= 1e-9 * want)
 
+    def test_axis_rows_take_the_exact_law(self):
+        # an axis row among many directions reads the exact coordinate law,
+        # as the axis alone does, not the atoms of the shared cloud; the
+        # other rows keep their cloud roots
+        body, levels = BodySpec(4.0, 6), [100, 1000]
+        dirs = sample_sphere(6, 11, 3)
+        dirs[[2, 7]] = Direction.canonical(6, 4).coords, -Direction.canonical(6, 0).coords
+        profile = direction_support_profile(body, dirs, levels, seed=5, proj_samples=10**5)
+        for N, row in zip(levels, profile):
+            assert row[2] == row[7] == expected_support_orlicz(body, 4, N)
+        off = np.delete(np.arange(11), [2, 7])
+        cloud_only = direction_support_profile(body, dirs[off], levels, seed=5, proj_samples=10**5)
+        assert np.array_equal(profile[:, off], cloud_only)
+
+    def test_one_row_is_the_single_direction_estimate(self):
+        body, seed, levels = BodySpec(1.5, 6), 11, [100, 10**4]
+        theta = Direction.from_vector([0.3, -1.2, 0.5, 2.0, 0.1, -0.7])
+        profile = direction_support_profile(body, [theta.coords], levels, derive_seed(seed, "marginal"), 10**5)
+        for N, row in zip(levels, profile):
+            assert row[0] == expected_support_orlicz(body, theta, N, proj_samples=10**5, seed=seed)
+
     @pytest.mark.parametrize("p", [2.0, 1.5])
     def test_profile_refuses_bad_rows(self, p):
         # rows are not renormalized: the cloud's product would scale each
@@ -529,8 +543,8 @@ class TestDirectionScan:
         with pytest.raises(DomainError, match="N must be a positive integer"):
             run_support_scan(body, 0, [99.7, 200, 300, 400], trials=0)
         with pytest.raises(DomainError, match="N must be a positive integer"):
-            PolytopeExperiment(body, 99.7, 0, mc_trials=2)
-        assert PolytopeExperiment(body, 1e3, 0, mc_trials=2).N == 1000
+            expected_support_mc(body, 0, 99.7, trials=2)
+        assert expected_support_mc(body, 0, 1e3, trials=2).meta["N"] == 1000
         for N in (99.7, 0.5, math.nan, math.inf):
             with pytest.raises(DomainError, match="N must be a positive integer"):
                 invert_for_support(M, N)
@@ -631,6 +645,14 @@ class TestScalingFit:
         with pytest.raises(DomainError):
             scaling_fit([(10, 1.0), (100, 2.0), (1000, 3.0), (10**4, -1.0)], "log-log-N")
 
+    def test_nonfinite_transform_refused(self):
+        # log(log 1) = -inf used to reach polyfit, and a NaN value gave (nan, nan)
+        with pytest.raises(DomainError, match="log-log-N transform of the rows is not finite"):
+            scaling_fit([(1, 0.5), (10, 1.0), (100, 2.0), (1000, 3.0)], "log-log-N")
+        for transform in ("log-log-N", "log-N"):
+            with pytest.raises(DomainError, match=f"{transform} transform of the rows is not finite"):
+                scaling_fit([(10, 1.0), (100, math.nan), (1000, 3.0), (10**4, 4.0)], transform)
+
 
 class TestTwoSidedEquivalence:
     def test_ratio_band_over_grid(self):
@@ -640,7 +662,7 @@ class TestTwoSidedEquivalence:
                 body = BodySpec(p, n)
                 for N in (100, 1000, 10**4):
                     est = expected_support_orlicz(body, 0, N)
-                    rep = expected_support_mc(PolytopeExperiment(body, N, 0, mc_trials=50, seed=31))
+                    rep = expected_support_mc(body, 0, N, trials=50, seed=31)
                     ratios.append(rep.mc_mean / est)
                     assert est <= support_function(body, Direction.canonical(n, 0)) * (1 + 1e-9)
                     assert rep.mc_mean <= support_function(body, Direction.canonical(n, 0)) + 1e-12

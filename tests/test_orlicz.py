@@ -424,6 +424,14 @@ class TestDomain:
             M.eval(t)
         assert M.eval(0.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "exponent, coeff",
+        [(math.nan, 1.0), (math.inf, 1.0), (0.5, 1.0), (2.0, math.nan), (2.0, math.inf), (2.0, 0.0), (2.0, -1.0)],
+    )
+    def test_power_parameters_refused(self, exponent, coeff):
+        with pytest.raises(DomainError, match="power Orlicz functions need 1 <= exponent < inf and 0 < coeff < inf"):
+            from_power(exponent, coeff)
+
 
 class TestLuxemburg:
     def test_examples(self):
