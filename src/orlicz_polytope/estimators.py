@@ -21,7 +21,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -44,10 +44,10 @@ from .errors import DomainError, HypothesisError, whole
 from .mathkit import bracket, brent, quad_cumulative
 from .orlicz import (
     OrliczFunction,
+    _coordinate_root,
     empirical_roots,
     from_coordinate,
     from_empirical,
-    invert_for_support,
     spherical_prefactor,
 )
 
@@ -190,8 +190,8 @@ def expected_support_orlicz(
 ) -> float:
     """Support-function estimate: invert the direction's Orlicz function at 1/N."""
     theta = _resolve_direction(body, direction)
-    seed = derive_seed(seed, "marginal")
-    return float(direction_support_profile(body, theta.coords, N, seed, proj_samples)[0])
+    out = _profile(body, theta.coords[None], [whole(N, "N")], lambda: derive_seed(seed, "marginal"), proj_samples)
+    return float(out[0, 0])
 
 
 def direction_support_profile(
@@ -202,8 +202,9 @@ def direction_support_profile(
     proj_samples: int = DEFAULT_PROJ_SAMPLES,
 ) -> np.ndarray:
     """Orlicz estimates for each unit row of dirs, the law decided per row
-    (_coordinate_law): one exact inversion per level serves every row with
-    the coordinate law; the other rows take the closed-form roots
+    (_coordinate_law): one exact root per level (orlicz._coordinate_root)
+    serves every row with the coordinate law; the other rows take the
+    closed-form roots
     (empirical_roots) of their projections of proj_samples uniform points
     drawn from seed.  A single such row streams its projections
     (project_uniform); several share one cloud, which holds
@@ -218,18 +219,27 @@ def direction_support_profile(
         raise DomainError("direction rows must be unit vectors of length n (|norm - 1| <= 1e-12)")
     scalar = np.ndim(N) == 0
     levels = [whole(level, "N") for level in ([N] if scalar else N)]
+    out = _profile(body, dirs, levels, lambda: seed, proj_samples)
+    return out[0] if scalar else out
+
+
+def _profile(
+    body: BodySpec, dirs: np.ndarray, levels: list[int], cloud_seed: Callable[[], int], proj_samples: int
+) -> np.ndarray:
+    """direction_support_profile on checked unit rows and levels, one row of
+    estimates per level.  cloud_seed() gives the seed of the projections;
+    it is called only when some row lacks the coordinate law."""
     out = np.empty((len(levels), dirs.shape[0]))
     exact = _coordinate_law(body, dirs)
     off = (~exact).nonzero()[0]
     if off.size < exact.size:
-        M = from_coordinate(body)
         for row, level in zip(out, levels):
-            row[exact] = invert_for_support(M, level)
+            row[exact] = _coordinate_root(body, level)
     if off.size == 1:
-        atoms = project_uniform(body, Direction(dirs[off[0]]), proj_samples, seed)
+        atoms = project_uniform(body, Direction(dirs[off[0]]), proj_samples, cloud_seed())
         out[:, off[0]] = [empirical_roots(atoms, level)[0] for level in levels]
     elif off.size > 1:
-        cloud = sample_uniform(body, proj_samples, seed)
+        cloud = sample_uniform(body, proj_samples, cloud_seed())
         # each direction's projections fill one contiguous row: partitioning
         # down the columns of cloud @ dirs.T instead took twice as long
         for lo in range(0, off.size, _SCAN_BLOCK):
@@ -237,7 +247,7 @@ def direction_support_profile(
             product = dirs[block] @ cloud.T
             for row, level in zip(out, levels):
                 row[block] = empirical_roots(product, level)
-    return out[0] if scalar else out
+    return out
 
 
 def mean_width_orlicz_report(
@@ -597,13 +607,14 @@ def scaling_fit(rows: Sequence[tuple[int, float]], x_transform: str = "log-log-N
 def _scan(N_grid, estimates, oracle, trials: int, transform: str) -> ScanResult:
     """Rows of each N's estimate beside oracle(N).mc_mean and their ratio
     (no oracle run when trials is 0), and the growth-law fit of the
-    estimates under transform."""
+    estimates under transform.  The fit reads only the estimates, so it
+    runs first: a grid it refuses draws no trial."""
+    exponent, r2 = scaling_fit(list(zip(N_grid, estimates)), transform)
     rows = []
     for N, est in zip(N_grid, estimates):
         mc = oracle(int(N)).mc_mean if trials > 0 else None
         ratio = (mc / est) if (mc is not None and est) else None
         rows.append(ScanRow(N=int(N), estimate=float(est), oracle=mc, ratio=ratio))
-    exponent, r2 = scaling_fit(list(zip(N_grid, estimates)), transform)
     return ScanResult(rows, exponent, r2, transform)
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bodies import BodySpec, MarginalDensity, coordinate_marginal, normalization_scale
+from .bodies import BodySpec, MarginalDensity, coordinate_marginal, isotropic_constant, normalization_scale
 from .errors import AccuracyError, DomainError, EstimationError, RangeError, whole
 from .mathkit import (
     ball_volume_log,
@@ -66,8 +66,14 @@ _INVERT_REL_TOL = 1e-9
 _QUAD = 1e-9
 _INNER_QUAD = 1e-10
 
-# from_coordinate sums M as one series in 1 - x once 1 - x is at most this.
+# _coordinate_reader sums M as one series in 1 - x once 1 - x is at most this.
 _EDGE = 0.25
+
+# _coordinate_root stops at the first read with |log(N M(1/s))| at most
+# _ROOT_TOL, or at a bracket of log s that narrow, and refuses after
+# _ROOT_STEPS reads.
+_ROOT_TOL = 1e-9
+_ROOT_STEPS = 100
 
 # Points of the log grid export_tabulation writes.
 _TABLE_POINTS = 257
@@ -339,31 +345,40 @@ def from_tail(marginal: MarginalDensity) -> OrliczFunction:
     return OrliczFunction(eval=ev, zero_threshold=1.0 / radius, kind="tail-integral")
 
 
-def from_coordinate(body: BodySpec) -> OrliczFunction:
-    """Exact Orlicz function of a coordinate of the volume-1 l_p ball (of
-    every direction for p = 2), through the incomplete beta integral.
+def _coordinate_reader(body: BodySpec) -> tuple[Callable[[float], tuple[float, float]], float]:
+    """(M(t), M'(t)) of the exact coordinate law of body, read together, and
+    its support radius R.
 
-    With R the support radius, (|X_1| / R)^p ~ Beta(1/p, b), b = (n-1)/p + 1,
-    so for x = (tR)^{-p} the stop-loss expectation is
+    With (|X_1| / R)^p ~ Beta(1/p, b), b = (n-1)/p + 1, and x = (tR)^{-p},
+    the stop-loss expectation and its slope are
 
         M(t) = E (t |X_1| - 1)_+ = [tR J(2/p) - J(1/p)] / B(1/p, b),
+        M'(t) = E [|X_1|; t |X_1| > 1] = R J(2/p) / B(1/p, b),
 
     J(alpha) = int_x^1 u^{alpha-1} (1-u)^{b-1} du (mathkit.beta_tail).  For
-    y = 1 - x <= 1/4 the two terms nearly cancel, so M is summed there as
-    one series in y: (1 - v)^c = sum_k a_k(c) v^k under the integral over
+    y = 1 - x <= 1/4 the two terms of M nearly cancel, so M is summed there
+    as one series in y: (1 - v)^c = sum_k a_k(c) v^k under the integral over
     v = 1 - u in [0, y] gives y^b sum_k [tR a_k(2/p-1) - a_k(1/p-1)] y^k / (b+k),
-    whose k = 0 coefficient tR - 1 = expm1(log tR) is exact.  The cube and
-    n = 1 have the uniform law of from_cube."""
+    whose k = 0 coefficient tR - 1 = expm1(log tR) is exact, and the same
+    a_k(2/p-1) give J(2/p) = y^b sum_k a_k(2/p-1) y^k / (b+k).  The cube and
+    n = 1 have the uniform law on [-1/2, 1/2], M(t) = (t - 2)^2 / (4t) past
+    t = 2 (from_cube's t/4 + 1/t - 1 without its cancellation)."""
     p, n = body.p, body.n
     if math.isinf(p) or n == 1:
-        return from_cube()
+
+        def uniform(t: float) -> tuple[float, float]:
+            if t <= 2.0:
+                return 0.0, 0.0
+            return (t - 2.0) ** 2 / (4.0 * t), 0.25 - 1.0 / (t * t)
+
+        return uniform, 0.5
     radius = normalization_scale(body)
     a, b = 1.0 / p, (n - 1) / p + 1.0
     log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
-    def edge_series(log_tr: float, y: float) -> float:
+    def edge_series(log_tr: float, y: float) -> tuple[float, float]:
         d = math.expm1(log_tr)
-        total = d / b
+        total, slope = d / b, 1.0 / b
         # coeff_k = a_k(2/p - 1), gap_k = a_k(2/p - 1) - a_k(1/p - 1)
         coeff, gap, power = 1.0, 0.0, 1.0
         for k in range(1, 200):
@@ -372,23 +387,88 @@ def from_coordinate(body: BodySpec) -> OrliczFunction:
             power *= y
             term = (d * coeff + gap) * power / (b + k)
             total += term
+            slope += coeff * power / (b + k)
             if abs(term) <= 1e-17 * abs(total):
-                return math.exp(b * math.log(y) - log_beta) * total
+                scale = math.exp(b * math.log(y) - log_beta)
+                return scale * total, radius * scale * slope
         raise AccuracyError(f"edge series of M did not converge at y = {y}")
 
-    def ev(t: float) -> float:
-        _check_t(t)
+    def read(t: float) -> tuple[float, float]:
         if t * radius <= 1.0:
-            return 0.0
+            return 0.0, 0.0
         log_tr = math.log(t * radius)
         log_x = -p * log_tr
         y = -math.expm1(log_x)
         if y <= _EDGE:
             return edge_series(log_tr, y)
-        upper = t * radius * beta_tail(2.0 * a, b, log_x) - beta_tail(a, b, log_x)
-        return upper / math.exp(log_beta)
+        j2 = beta_tail(2.0 * a, b, log_x)
+        upper = t * radius * j2 - beta_tail(a, b, log_x)
+        return upper / math.exp(log_beta), radius * j2 / math.exp(log_beta)
+
+    return read, radius
+
+
+def from_coordinate(body: BodySpec) -> OrliczFunction:
+    """Exact Orlicz function of a coordinate of the volume-1 l_p ball (of
+    every direction for p = 2): the M of _coordinate_reader, the incomplete
+    beta integral.  The cube and n = 1 have the uniform law of from_cube."""
+    if math.isinf(body.p) or body.n == 1:
+        return from_cube()
+    read, radius = _coordinate_reader(body)
+
+    def ev(t: float) -> float:
+        _check_t(t)
+        return read(t)[0]
 
     return OrliczFunction(eval=ev, zero_threshold=1.0 / radius, kind="incomplete-beta")
+
+
+def _coordinate_root(body: BodySpec, N: int) -> float:
+    """invert_for_support(from_coordinate(body), N) by safeguarded Newton
+    steps on F(u) = log(N M(e^{-u})), u = log s, reading (M, M') together
+    (_coordinate_reader): the first read point s with |F| <= 1e-9.
+
+    F decreases with slope -t M'(t) / M(t) <= -1 at t = 1/s, since convex M
+    with M(0) = 0 has M(t) <= t M'(t).  So a read F(u) = f puts the root
+    u* between u and u + f, and |f| bounds |log s - log s*|: the stop is a
+    bound on the relative error of s, not a bracket width.  Every read
+    narrows the bracket (lo, hi) of u*, which starts at hi = log R, where M
+    vanishes; a Newton step u + f / elasticity that leaves it, or a read
+    where M vanishes (F = -inf), gives way to the midpoint, or to halving s
+    while no lower end is known.  Where the rounding of M jumps over the
+    1e-9 band (p = 1 at n = 10^7, where log B(1, b) and beta_tail err by
+    1e-8 or more), the root is exp(hi) once the bracket is narrower than
+    1e-9.  The first read is at min(0.9 R, 2 L_K), an O(1) scale of the
+    law (L_K the isotropic constant), so no search range limits how far R
+    lies from the root."""
+    N = whole(N, "N")
+    read, radius = _coordinate_reader(body)
+    log_level = math.log(N)
+    lo, hi = -math.inf, math.log(radius)
+    u = math.log(min(0.9 * radius, 2.0 * isotropic_constant(body)))
+    for _ in range(_ROOT_STEPS):
+        s = math.exp(u)
+        m, slope = read(1.0 / s)
+        if m > 0:
+            f = log_level + math.log(m)
+            if abs(f) <= _ROOT_TOL:
+                return s
+            if f > 0:
+                lo, hi = u, min(hi, u + f)
+            else:
+                lo, hi = max(lo, u + f), u
+            step = u + f * m * s / slope
+        else:
+            hi, step = u, math.nan
+        if hi - lo <= _ROOT_TOL:
+            return math.exp(hi)
+        if lo < step < hi:
+            u = step
+        elif lo > -math.inf:
+            u = 0.5 * (lo + hi)
+        else:
+            u = hi - math.log(2.0)
+    raise AccuracyError(f"no root of the coordinate law within {_ROOT_STEPS} reads at N = {N} for {body}")
 
 
 def from_empirical(projections: Sequence[float]) -> OrliczFunction:

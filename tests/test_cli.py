@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from orlicz_polytope import orlicz
+from orlicz_polytope import estimators, orlicz
 from orlicz_polytope.bodies import BodySpec, coordinate_marginal
 from orlicz_polytope.cli import (
     RNG_ALGORITHM,
@@ -206,6 +206,11 @@ class TestEstimateCommand:
         assert set(timings) == {"mc_s", "total_s"}
         assert timings["total_s"] >= timings["mc_s"] > 0
 
+    def test_p1_at_large_n(self, tmp_path):
+        # the support radius n/(2e) lies 3e6 times above the root
+        assert run(tmp_path, "estimate", "--p", "1", "--n", "10000000", "--N", "100", "--trials", "0") == 0
+        assert read_json(tmp_path, "report.json")["orlicz_value"] == pytest.approx(0.6227522774596, rel=5e-8)
+
     def test_lf_endings(self, tmp_path):
         run(tmp_path, "estimate", "--p", "inf", "--n", "3", "--N", "2", "--trials", "0")
         for name in ("report.json", "report.csv", "manifest.json", "timings.json"):
@@ -231,6 +236,15 @@ class TestScanCommand:
         grid = ["--N", "1", "--N", "10", "--N", "100", "--N", "1000"]
         assert run(tmp_path, "scan", "--p", "2", "--n", "3", *grid, "--trials", "0") == 3
         assert "log-log-N transform of the rows is not finite" in capsys.readouterr().err
+
+    def test_N_of_one_draws_no_trial(self, tmp_path, capsys, monkeypatch):
+        # the fit runs before the MC oracles, so the refusal costs no trial
+        calls = []
+        monkeypatch.setattr(estimators, "expected_support_mc", lambda *args: calls.append(args))
+        grid = ["--N", "1", "--N", "10", "--N", "100", "--N", "1000"]
+        assert run(tmp_path, "scan", "--p", "2", "--n", "3", *grid, "--trials", "200") == 3
+        assert "log-log-N transform of the rows is not finite" in capsys.readouterr().err
+        assert calls == []
 
     def test_manifest_replay_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"

@@ -88,12 +88,32 @@ class TestExpectedSupportOrlicz:
         assert v6 / v3 == pytest.approx(2.0, rel=0.25)
 
     def test_root_inside_the_last_halving_step(self):
-        # the search halves down from the radius n/(2e) to its bottom end,
-        # radius / 1e6 = 0.184 at n = 1e6, and the root lies between that
-        # end and the last halving above it; as n grows |X_1| tends to the
-        # exponential law of mean 1/(2e), whose root is W(10)/(2e)
+        # the support radius n/(2e) lies 10^6 times above the root at n = 1e6,
+        # where the generic search (invert_for_support) once ran out of range;
+        # as n grows |X_1| tends to the exponential law of mean 1/(2e), whose
+        # root is W(10)/(2e)
         got = expected_support_orlicz(BodySpec(1.0, 10**6), 0, 10)
         assert got == pytest.approx(float(mpmath.lambertw(10).real / (2 * mpmath.e)), rel=1e-4)
+
+    @pytest.mark.parametrize("n", [2 * 10**6, 10**7])
+    @pytest.mark.parametrize("N", [10, 100, 10**4])
+    def test_p1_closed_form_at_large_n(self, n, N):
+        # for p = 1, |X_1| / R ~ Beta(1, n), so the root solves
+        # N R (1 - s/R)^(n+1) / (n+1) = s; the generic search refuses these
+        # cells (the root lies below radius / 1e6).  Measured error: 1.9e-8
+        # at n = 1e7, N = 10, at most 3.7e-9 elsewhere; it is the error of M
+        # itself, not of the search: at b = 1e7, log B(1, b) from two lgamma
+        # values errs by 1.5e-8, and beta_tail by up to 9e-8
+        R = normalization_scale(BodySpec(1.0, n))
+
+        def gap(s):  # log of the left side over the right, decreasing in s
+            return math.log(N * R / (n + 1)) + (n + 1) * math.log1p(-s / R) - math.log(s)
+
+        lo, hi = 1e-3, 10.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+        assert expected_support_orlicz(BodySpec(1.0, n), 0, N) == pytest.approx(hi, rel=5e-8)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, INF])
     def test_canonical_directions_use_stop_loss(self, p):
@@ -607,6 +627,14 @@ class TestScan:
             assert row.ratio == row.oracle / est
         assert (scan.fitted_exponent, scan.fit_r2) == scaling_fit(list(zip(self.GRID, self.ESTIMATES)))
         assert scan.transform == "log-log-N"
+
+    def test_fit_refusal_draws_no_trial(self):
+        # the fit reads only the estimates: log(log 1) is refused before any oracle runs
+        def oracle(N):
+            raise AssertionError("a refused grid must not run the oracle")
+
+        with pytest.raises(DomainError, match="log-log-N transform of the rows is not finite"):
+            estimators._scan((1, 10, 100, 1000), self.ESTIMATES, oracle, 200, "log-log-N")
 
     def test_no_oracle_without_trials(self):
         def oracle(N):

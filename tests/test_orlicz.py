@@ -177,6 +177,77 @@ class TestCoordinate:
             assert M.eval(t) == from_cube().eval(t)
 
 
+class TestCoordinateRoot:
+    """orlicz._coordinate_root, the production root of the coordinate law:
+    Newton steps on log(N M(1/s)) against log s, M and M' read together."""
+
+    @staticmethod
+    def gap(body, N, s):
+        # the root's own reading of M: from_coordinate's M bit for bit on the
+        # beta law (test_reader_is_from_coordinate), and on the uniform law
+        # (t - 2)^2 / (4t), which keeps its relative precision as t nears 2
+        read, _ = orlicz._coordinate_reader(body)
+        return N * read(1.0 / s)[0] - 1.0
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 50.0])
+    @pytest.mark.parametrize("n", [2, 10, 30])
+    def test_matches_the_generic_search(self, p, n):
+        body = BodySpec(p, n)
+        M = from_coordinate(body)
+        for N in (1, 2, 100, 10**4, 10**6):
+            assert orlicz._coordinate_root(body, N) == pytest.approx(invert_for_support(M, N), rel=2e-9)
+
+    @pytest.mark.parametrize("body", [BodySpec(INF, 1), BodySpec(INF, 30), BodySpec(1.5, 1)])
+    def test_cube_formula(self, body):
+        for N in (1, 2, 10, 10**3, 10**6, 10**12):
+            assert orlicz._coordinate_root(body, N) == pytest.approx(cube_inversion_formula(N), rel=2e-9)
+
+    @pytest.mark.parametrize("body", [BodySpec(1.0, 10), BodySpec(4.0, 30), BodySpec(50.0, 2)])
+    def test_reader_is_from_coordinate(self, body):
+        read, radius = orlicz._coordinate_reader(body)
+        M = from_coordinate(body)
+        assert radius == normalization_scale(body)
+        switch = 0.75 ** (1.0 / body.p)  # s/R where the series takes over
+        for frac in (0.05, 0.3, 0.6, 0.9, 0.999, switch * (1 - 1e-9), switch * (1 + 1e-9)):
+            t = 1.0 / (frac * radius)
+            m, slope = read(t)
+            assert m == M.eval(t)
+            h = 1e-6 * t  # M' is the slope of M: a central difference
+            assert slope == pytest.approx((M.eval(t + h) - M.eval(t - h)) / (2 * h), rel=1e-7)
+        assert read(0.5 / radius) == read(1.0 / radius) == (0.0, 0.0)
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(
+        p=st.floats(1.0, 16.0) | st.just(INF),
+        n=st.integers(1, 10**4),
+        N=st.integers(1, 10**12),
+    )
+    def test_log_gap_bounds_the_error(self, p, n, N):
+        # the slope of log(N M(1/s)) against log s is at most -1, so a read
+        # within 1e-9 of log 1 is within about 1e-9 of the root, relative
+        body = BodySpec(p, n)
+        s = orlicz._coordinate_root(body, N)
+        assert abs(math.log1p(self.gap(body, N, s))) <= 1e-9
+        assert self.gap(body, N, s * (1 - 2e-9)) > 0 > self.gap(body, N, s * (1 + 2e-9))
+
+    def test_m_reads_on_canonical_cells(self, monkeypatch):
+        # the 70 canonical cells of the orlicz-grid benchmark; the generic
+        # search reads M 970 times on them (TestInversion)
+        reads = []
+        reader = orlicz._coordinate_reader
+
+        def counting(body):
+            read, radius = reader(body)
+            return (lambda t: reads.append(t) or read(t)), radius
+
+        monkeypatch.setattr(orlicz, "_coordinate_reader", counting)
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, INF):
+            for n in (10, 30):
+                for N in (10**2, 10**3, 10**4, 10**5, 10**6):
+                    orlicz._coordinate_root(BodySpec(p, n), N)
+        assert len(reads) <= 485  # measured: 454, at most 12 for one root
+
+
 class TestClosedForms:
     def test_support_guards(self):
         body = BodySpec(2.0, 4)
