@@ -19,7 +19,6 @@ from .errors import (
     DegenerateParameterError,
     DomainError,
     EstimationError,
-    HypothesisError,
     RangeError,
 )
 from .estimators import (
@@ -29,7 +28,6 @@ from .estimators import (
     direction_measure_scan,
     expected_support_mc,
     expected_support_orlicz,
-    general_upper_bound,
     mean_width_mc,
     mean_width_orlicz_report,
     scaling_fit,
@@ -38,7 +36,6 @@ from .estimators import (
 )
 from .mathkit import (
     SinCosParams,
-    ball_volume,
     ball_volume_ratio,
     quad_adaptive,
     sincos_recursion,
@@ -47,7 +44,6 @@ from .orlicz import (
     OrliczFunction,
     invert_for_support,
     legendre_dual,
-    luxemburg_norm,
     m_spherical,
 )
 

@@ -26,7 +26,7 @@ import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -193,14 +193,10 @@ class MarginalDensity:
     """Even 1-D density of <X, theta> for X uniform in the body.
 
     density is vectorized over t and vanishes for |t| > support_radius.
-    Histogram-backed marginals also carry their one-sided bin data.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    body: Optional[BodySpec] = None
-    hist_edges: Optional[np.ndarray] = None
-    hist_density: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not (self.support_radius > 0 and math.isfinite(self.support_radius)):
@@ -230,7 +226,7 @@ def coordinate_marginal(body: BodySpec) -> MarginalDensity:
         out = section(np.atleast_1d(np.abs(tt)))
         return float(out[0]) if tt.ndim == 0 else out
 
-    return MarginalDensity(density=density, support_radius=radius, body=body)
+    return MarginalDensity(density=density, support_radius=radius)
 
 
 def marginal_general(
@@ -256,13 +252,7 @@ def marginal_general(
         idx = np.clip(np.searchsorted(edges, tt, side="right") - 1, 0, nbins - 1)
         return np.where(tt <= top, g[idx] / 2.0, 0.0)
 
-    return MarginalDensity(
-        density=density,
-        support_radius=top,
-        body=body,
-        hist_edges=edges,
-        hist_density=g,
-    )
+    return MarginalDensity(density=density, support_radius=top)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, orlicz
 from .bodies import BodySpec, Direction, coordinate_ks, derive_seed, sample_sphere
-from .errors import AccuracyError, DomainError, HypothesisError, RangeError
+from .errors import AccuracyError, DomainError, RangeError
 from .estimators import (
     build_direction_orlicz,
     direction_measure_scan,
@@ -559,7 +559,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, AccuracyError, RangeError, HypothesisError, OverflowError) as exc:
+    except (DomainError, AccuracyError, RangeError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

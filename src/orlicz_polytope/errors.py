@@ -28,14 +28,6 @@ class RangeError(ValueError):
     """A bracketing search left the supported range."""
 
 
-class HypothesisError(ValueError):
-    """A precondition on a section profile failed; names the hypothesis."""
-
-    def __init__(self, hypothesis, message=None):
-        super().__init__(message or f"hypothesis check failed: {hypothesis}")
-        self.hypothesis = hypothesis
-
-
 class EstimationError(RuntimeError):
     """Empirical estimation impossible (degenerate sample)."""
 

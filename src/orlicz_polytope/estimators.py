@@ -4,7 +4,7 @@ symmetric random polytopes, estimated two ways.
 The Orlicz route inverts the direction's Orlicz function at level 1/N;
 the Monte Carlo route simulates max_i |<X_i, theta>| directly.  Both are
 reported side by side, together with sphere averages, the matching-scale
-solver, a general profile-based upper bound, and direction-measure scans.
+solver, and direction-measure scans.
 
 MC work units derive their random stream from (seed, unit index), so
 results are bit-identical regardless of the degree of parallelism; means
@@ -29,7 +29,6 @@ from .bodies import (
     _ROWS,
     BodySpec,
     Direction,
-    MarginalDensity,
     _map_points,
     _parallel_map,
     derive_seed,
@@ -40,7 +39,7 @@ from .bodies import (
     sample_sphere,
     sample_uniform,
 )
-from .errors import DomainError, HypothesisError, whole
+from .errors import DomainError, whole
 from .mathkit import bracket, brent, quad_cumulative
 from .orlicz import (
     OrliczFunction,
@@ -65,8 +64,6 @@ __all__ = [
     "mean_width_mc",
     "sphere_average_m",
     "solve_tilde_s",
-    "check_profile_hypotheses",
-    "general_upper_bound",
     "direction_measure_scan",
     "scaling_fit",
     "run_support_scan",
@@ -77,8 +74,6 @@ DEFAULT_PROJ_SAMPLES = 10**6
 _SCAN_BLOCK = 8  # directions projected per product in direction_support_profile
 _TILDE_S_REL_TOL = 1e-6  # relative width at which solve_tilde_s stops
 _TILDE_S_LIMIT = 1e9  # solve_tilde_s searches down to its largest norm / this
-_PROFILE_ALPHA = 4.0  # general_upper_bound's scale: h(0) (1 - alpha log N / n)
-_FD_STEP = 1e-5  # finite-difference step of the profile checks
 # thread-count symbol suffixes of the OpenBLAS builds numpy (64-bit
 # integers) and scipy bundle
 _BLAS_SUFFIXES = ("64_", "")
@@ -465,60 +460,6 @@ def solve_tilde_s(body: BodySpec, N: int, samples: int, seed: int = 0) -> float:
         return float(_spherical_values(body.n, norms, s).mean()) - level
 
     lo, hi = brent(gap, *bracket(gap, float(norms[-1]), _TILDE_S_LIMIT), _TILDE_S_REL_TOL)
-    return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
-# general profile-based upper bound
-
-def check_profile_hypotheses(marginal: MarginalDensity) -> None:
-    """Finite-difference checks on h = section^(1/(n-1)): h' < 0 on the
-    interior and -h'/t nondecreasing.  Raises HypothesisError naming the
-    failed hypothesis."""
-    if marginal.body is None or marginal.body.n < 2:
-        raise DomainError("profile hypotheses need a body of dimension >= 2")
-    n = marginal.body.n
-    radius = marginal.support_radius
-    step = min(_FD_STEP, 0.01 * radius)
-
-    def h(t):
-        return np.asarray(marginal.density(t), dtype=float) ** (1.0 / (n - 1))
-
-    ts = np.linspace(0.05 * radius, 0.95 * radius, 19)
-    hp = (h(ts + step) - h(ts - step)) / (2.0 * step)
-    if not np.all(hp < 0):
-        raise HypothesisError("h' < 0 on the interior")
-    g = -hp / ts
-    if not np.all(np.diff(g) >= -1e-8 * np.abs(g[:-1]) - 1e-300):
-        raise HypothesisError("-h'/t nondecreasing")
-
-
-def general_upper_bound(marginal: MarginalDensity, N: int) -> float:
-    """Upper-bound scale h^{-1}(h(0) * (1 - alpha log N / n)), alpha =
-    _PROFILE_ALPHA, for the expected support function, valid under the
-    profile hypotheses."""
-    if marginal.body is None:
-        raise DomainError("the marginal must reference its body")
-    n = marginal.body.n
-    N = whole(N, "N")
-    drop = _PROFILE_ALPHA * math.log(N) / n
-    if drop >= 1.0:
-        raise DomainError(f"{_PROFILE_ALPHA:g} log(N) must stay below n")
-    check_profile_hypotheses(marginal)
-    radius = marginal.support_radius
-
-    def h(t: float) -> float:
-        return float(marginal.density(t)) ** (1.0 / (n - 1))
-
-    top = h(0.0)
-    target = top * (1.0 - drop)
-    if target >= top:
-        return 0.0
-
-    def gap(t: float) -> float:
-        return h(t) - target
-
-    lo, hi = brent(gap, 0.0, radius, top - target, gap(radius), 1e-14)
     return 0.5 * (lo + hi)
 
 

@@ -23,7 +23,6 @@ from .errors import AccuracyError, DegenerateParameterError, DomainError, RangeE
 
 __all__ = [
     "SinCosParams",
-    "ball_volume",
     "ball_volume_log",
     "ball_volume_ratio",
     "beta_tail",
@@ -80,11 +79,6 @@ def ball_volume_log(p: float, n: int) -> float:
     if math.isinf(p):
         return n * _LOG2
     return n * (_LOG2 + math.lgamma(1.0 + 1.0 / p)) - math.lgamma(1.0 + n / p)
-
-
-def ball_volume(p: float, n: int) -> float:
-    """Volume of the unit l_p ball in dimension n, computed in log space."""
-    return math.exp(ball_volume_log(p, n))
 
 
 def ball_volume_ratio(p: float, n: int) -> float:

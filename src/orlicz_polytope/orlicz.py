@@ -1,6 +1,6 @@
 """Orlicz functions for marginals of convex bodies: tail-integral and
-closed-form constructions, Luxemburg norms, Legendre duals, and the
-level-1/N inversion that estimates expected support functions.
+closed-form constructions, Legendre duals, and the level-1/N inversion
+that estimates expected support functions.
 
 All constructions share one convention: M is the tail integral of the law
 of |<X, theta>|,
@@ -47,18 +47,16 @@ __all__ = [
     "from_spherical",
     "legendre_dual",
     "dual_involution_error",
-    "luxemburg_norm",
     "invert_for_support",
     "representation_spread",
     "export_tabulation",
 ]
 
-# Bracketing limit for the norm/inversion searches; outside it we refuse
-# to extrapolate and raise RangeError instead.
+# Bracketing limit of the inversion's search; outside it we refuse to
+# extrapolate and raise RangeError instead.
 BRACKET_LIMIT = 1e6
 
-# Relative widths at which the Luxemburg norm and the inversion stop.
-_NORM_REL_TOL = 1e-10
+# Relative width at which the inversion stops.
 _INVERT_REL_TOL = 1e-9
 
 # Relative tolerances of the quadrature of every M representation, and of
@@ -548,7 +546,7 @@ def from_spherical(n: int) -> OrliczFunction:
 
 
 # ---------------------------------------------------------------------------
-# duals, norms, inversion
+# duals and inversion
 
 def _convexity_check(m: Callable[[float], float], grid_max: float) -> None:
     ts = np.linspace(0.0, grid_max, 33)
@@ -609,45 +607,19 @@ def dual_involution_error(M: OrliczFunction, ts: Sequence[float]) -> float:
     return err / max(M.eval(ts[-1]), 1.0)
 
 
-def _norm(weighted: list[tuple[float, int]], M: OrliczFunction, rel_tol: float) -> float:
-    """inf{rho > 0 : sum_k c_k M(a_k / rho) <= 1} over the pairs (a_k, c_k)
-    of positive value and multiplicity, M read once per pair and step: the
-    upper end of the final brent bracket of the gap sum_k c_k M(a_k / rho) - 1,
-    which decreases in rho.  The bracket grows from the largest a_k over M's
-    zero threshold, where every term vanishes (from the largest a_k itself
-    when M vanishes only at 0)."""
-    top = max(a for a, _ in weighted)
-
-    def gap(rho: float) -> float:
-        return sum(c * M.eval(a / rho) for a, c in weighted) - 1.0
-
-    ref = top / M.zero_threshold if M.zero_threshold > 0 else top
-    return brent(gap, *bracket(gap, ref, BRACKET_LIMIT), rel_tol)[1]
-
-
-def luxemburg_norm(x: Sequence[float], M: OrliczFunction) -> float:
-    """inf{rho > 0 : sum_i M(|x_i| / rho) <= 1}, to a relative width of
-    1e-10, by a bracketed Brent search (mathkit.bracket, mathkit.brent).
-    M is read once per distinct nonzero |x_i|, weighted by its multiplicity,
-    so a constant vector of any length costs one read per step."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size == 0:
-        raise DomainError("the norm of an empty vector is undefined")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        named = ", ".join(f"x[{i}] = {x[i]}" for i in bad[:3])
-        raise DomainError(f"the norm needs finite entries: {named}{', ...' if bad.size > 3 else ''}")
-    v = np.abs(x)
-    if not v.any():
-        return 0.0
-    values, counts = np.unique(v[v > 0], return_counts=True)
-    return _norm(list(zip(values.tolist(), counts.tolist())), M, _NORM_REL_TOL)
-
-
 def invert_for_support(M: OrliczFunction, N: int) -> float:
-    """inf{s > 0 : M(1/s) <= 1/N}, the support-function estimate at level N:
-    the Luxemburg norm of (1, ..., 1) in R^N, to a relative width of 1e-9."""
-    return _norm([(1.0, whole(N, "N"))], M, _INVERT_REL_TOL)
+    """inf{s > 0 : M(1/s) <= 1/N}, the support-function estimate at level N
+    (the Orlicz norm of (1, ..., 1) in R^N), to a relative width of 1e-9:
+    the upper end of the final brent bracket of the gap N M(1/s) - 1, which
+    decreases in s.  The bracket grows from 1 over M's zero threshold, where
+    M(1/s) vanishes (from 1 when M vanishes only at 0)."""
+    N = whole(N, "N")
+
+    def gap(s: float) -> float:
+        return N * M.eval(1.0 / s) - 1.0
+
+    ref = 1.0 / M.zero_threshold if M.zero_threshold > 0 else 1.0
+    return brent(gap, *bracket(gap, ref, BRACKET_LIMIT), _INVERT_REL_TOL)[1]
 
 
 # Fractions of the support radius used by the cross-representation checks.

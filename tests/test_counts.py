@@ -11,7 +11,6 @@ import pytest
 from orlicz_polytope.bodies import (
     BodySpec,
     Direction,
-    coordinate_marginal,
     isotropy_report,
     marginal_general,
     project_uniform,
@@ -26,7 +25,6 @@ from orlicz_polytope.estimators import (
     direction_measure_scan,
     direction_support_profile,
     expected_support_mc,
-    general_upper_bound,
     mean_width_mc,
     mean_width_orlicz_report,
     run_mean_width_scan,
@@ -100,8 +98,6 @@ ENTRIES = [
     ("sphere_average_m", "samples", 2, lambda v: sphere_average_m(BALL, 1.0, v, 5).value, 1000),
     ("solve_tilde_s.N", "N", 2, lambda v: solve_tilde_s(BALL, v, 1000, 5), 1000),
     ("solve_tilde_s.samples", "samples", 2, lambda v: solve_tilde_s(BALL, 100, v, 5), 1000),
-    ("general_upper_bound", "N", 1,
-     lambda v: general_upper_bound(coordinate_marginal(BodySpec(3.0, 100)), v), 1000),
 ]
 CHEAP = [e for e in ENTRIES if e[4] is not None]
 

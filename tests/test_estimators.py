@@ -11,7 +11,6 @@ from orlicz_polytope.bodies import (
     BodySpec,
     Direction,
     circumradius,
-    coordinate_marginal,
     derive_seed,
     normalization_scale,
     project_uniform,
@@ -21,15 +20,13 @@ from orlicz_polytope.bodies import (
     support_function,
 )
 from orlicz_polytope import bodies, estimators
-from orlicz_polytope.errors import DomainError, HypothesisError
+from orlicz_polytope.errors import DomainError
 from orlicz_polytope.estimators import (
     build_direction_orlicz,
-    check_profile_hypotheses,
     direction_measure_scan,
     direction_support_profile,
     expected_support_mc,
     expected_support_orlicz,
-    general_upper_bound,
     mean_width_mc,
     mean_width_orlicz_report,
     run_mean_width_scan,
@@ -452,37 +449,6 @@ class TestTildeS:
         norms = sample_norms(body, 10**5, derive_seed(7, "tilde-s"))
         value = float(_spherical_values(body.n, norms, st).mean())
         assert value == pytest.approx(1.0 / N, rel=1e-4)
-
-
-class TestGeneralUpperBound:
-    def test_zero_log_limit(self):
-        marg = coordinate_marginal(BodySpec(3.0, 20))
-        assert general_upper_bound(marg, 1) == 0.0
-
-    def test_flat_profile_rejected(self):
-        marg = coordinate_marginal(BodySpec(INF, 10))
-        with pytest.raises(HypothesisError) as err:
-            general_upper_bound(marg, 8)
-        assert "h'" in err.value.hypothesis
-
-    def test_alpha_domain(self):
-        marg = coordinate_marginal(BodySpec(3.0, 10))
-        with pytest.raises(DomainError):
-            general_upper_bound(marg, 100)  # 4 log 100 > 10
-
-    def test_small_p_fails_monotonicity(self):
-        marg = coordinate_marginal(BodySpec(1.2, 12))
-        with pytest.raises(HypothesisError):
-            check_profile_hypotheses(marg)
-
-    def test_tracks_mc_oracle(self):
-        body = BodySpec(3.0, 50)
-        marg = coordinate_marginal(body)
-        bound = general_upper_bound(marg, 1000)
-        rep = expected_support_mc(body, 0, 1000, trials=40, seed=2)
-        assert 0 < bound <= normalization_scale(body)
-        # the theorem's inequality holds up to an absolute constant
-        assert rep.mc_mean / bound < 10.0
 
 
 class TestDirectionScan:

@@ -30,7 +30,6 @@ from orlicz_polytope.orlicz import (
     from_tail,
     invert_for_support,
     legendre_dual,
-    luxemburg_norm,
     m_from_tail,
     m_from_tail_alt,
     m_pball_first,
@@ -502,85 +501,6 @@ class TestDomain:
     def test_power_parameters_refused(self, exponent, coeff):
         with pytest.raises(DomainError, match="power Orlicz functions need 1 <= exponent < inf and 0 < coeff < inf"):
             from_power(exponent, coeff)
-
-
-class TestLuxemburg:
-    def test_examples(self):
-        assert luxemburg_norm([3.0, 4.0], from_power(2.0)) == pytest.approx(5.0, rel=1e-9)
-        assert luxemburg_norm([1.0, 1.0, 1.0], from_power(1.0)) == pytest.approx(3.0, rel=1e-9)
-        assert luxemburg_norm(np.zeros(4), from_power(2.0)) == 0.0
-
-    def test_all_ones_is_inversion(self):
-        # the paper's estimate is the Orlicz norm of (1, ..., 1) in R^N;
-        # the production M is checked over the N range the estimator runs in
-        cases = [(from_pball(2.0, 5), 3), (from_pball(2.0, 5), 17)]
-        production = from_coordinate(BodySpec(1.5, 30))
-        cases += [(production, N) for N in (10**2, 10**3, 10**6)]
-        for M, N in cases:
-            a = luxemburg_norm(np.ones(N), M)
-            b = invert_for_support(M, N)
-            assert a == pytest.approx(b, rel=1e-8)
-
-    def test_one_read_per_distinct_entry(self):
-        seen = []
-        rho = luxemburg_norm([3.0, -3.0, 4.0, 0.0, 4.0, 3.0], counted(from_power(2.0), seen))
-        assert rho == pytest.approx(math.sqrt(3 * 9.0 + 2 * 16.0), rel=1e-9)
-        # every budget reads M at 3/rho and 4/rho only, once each
-        assert len(seen) % 2 == 0
-        ratios = np.array(seen[1::2]) / np.array(seen[0::2])
-        assert np.allclose(ratios, 4.0 / 3.0, rtol=1e-12)
-        seen.clear()
-        luxemburg_norm(np.ones(10**4), counted(from_power(2.0), seen))
-        assert len(seen) <= 100  # one read per search step
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_entries_refused(self, bad):
-        seen = []
-        with pytest.raises(DomainError, match=rf"finite entries: x\[2\] = {bad}$"):
-            luxemburg_norm([1.0, -2.0, bad, 3.0], counted(from_power(2.0), seen))
-        assert seen == []  # refused before M is read
-
-    def test_range_error_above(self):
-        stuck = OrliczFunction(eval=lambda t: 1e9 if t > 0 else 0.0, zero_threshold=0.0, kind="power")
-        with pytest.raises(RangeError, match="above the search range"):
-            luxemburg_norm([1.0, 2.0], stuck)
-
-    def test_range_error_below(self):
-        # M saturates at 1e-3: every rho fits the budget
-        capped = OrliczFunction(
-            eval=lambda t: min(t - 1.0, 1e-3) if t > 1.0 else 0.0, zero_threshold=1.0, kind="power"
-        )
-        with pytest.raises(RangeError, match="below the search range"):
-            luxemburg_norm([1.0, 2.0], capped)
-
-    def test_grouped_matches_entrywise_sum(self):
-        # the norm before grouping: M read once per entry at every step
-        def entrywise(x, M):
-            v = np.abs(np.asarray(x, dtype=float))
-            budget = lambda rho: float(sum(M.eval(float(vi / rho)) for vi in v if vi > 0))
-            lo, hi = float(v.max()) / 1e6, v.size * float(v.max()) * 1e6
-            while hi - lo > 1e-10 * hi:
-                mid = 0.5 * (lo + hi)
-                lo, hi = (lo, mid) if budget(mid) <= 1.0 else (mid, hi)
-            return hi
-
-        rng = np.random.default_rng(7)
-        x = rng.choice([-2.5, -0.5, 0.0, 0.75, 1.0, 3.0], size=40)
-        for M in (from_power(2.5), from_pball(2.0, 5)):
-            assert luxemburg_norm(x, M) == pytest.approx(entrywise(x, M), rel=1e-9)
-
-    @settings(deadline=None, max_examples=25, derandomize=True)
-    @given(
-        c=st.floats(0.01, 50.0),
-        vec=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6).filter(
-            lambda v: max(abs(x) for x in v) > 1e-3
-        ),
-    )
-    def test_homogeneity(self, c, vec):
-        M = from_power(2.5)
-        base = luxemburg_norm(vec, M)
-        scaled = luxemburg_norm([c * v for v in vec], M)
-        assert scaled == pytest.approx(c * base, rel=1e-8)
 
 
 class TestInversion:
