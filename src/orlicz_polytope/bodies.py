@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EstimationError, whole
-from .mathkit import ball_volume_log, quad_cumulative
+from .mathkit import ball_volume_log, log_beta, quad_cumulative
 
 __all__ = [
     "BodySpec",
@@ -538,10 +538,9 @@ def isotropy_report(body: BodySpec, samples: int, seed: int) -> IsotropyReport:
 def isotropic_constant(body: BodySpec) -> float:
     """Exact L_K, the root of the second moment of a coordinate: since
     (|X_1| / R)^p ~ Beta(1/p, b), b = (n-1)/p + 1,
-    L_K = R sqrt(Gamma(3/p) Gamma(1/p + b) / (Gamma(1/p) Gamma(3/p + b)))."""
+    L_K = R sqrt(B(3/p, b) / B(1/p, b))."""
     p = body.p
     if math.isinf(p):
         return 1.0 / math.sqrt(12.0)
     b = (body.n - 1) / p + 1.0
-    log_ratio = math.lgamma(3.0 / p) + math.lgamma(1.0 / p + b) - math.lgamma(1.0 / p) - math.lgamma(3.0 / p + b)
-    return normalization_scale(body) * math.exp(0.5 * log_ratio)
+    return normalization_scale(body) * math.exp(0.5 * (log_beta(3.0 / p, b) - log_beta(1.0 / p, b)))

@@ -26,6 +26,7 @@ from .mathkit import (
     beta_tail,
     bracket,
     brent,
+    log_beta,
     quad_adaptive,
     quad_batch,
 )
@@ -288,14 +289,18 @@ def from_power(exponent: float, coeff: float = 1.0) -> OrliczFunction:
     return OrliczFunction(eval=ev, zero_threshold=0.0, kind="power")
 
 
+def _uniform_m(t: float) -> float:
+    """M of the uniform law on [-1/2, 1/2]: (t - 2)^2 / (4t) past t = 2,
+    which is t/4 + 1/t - 1 without its cancellation near 2."""
+    return (t - 2.0) ** 2 / (4.0 * t) if t > 2.0 else 0.0
+
+
 def from_cube() -> OrliczFunction:
-    """Coordinate tail integral of the volume-1 cube: t/4 + 1/t - 1 past 2."""
+    """Coordinate tail integral of the volume-1 cube (_uniform_m)."""
 
     def ev(t: float) -> float:
         _check_t(t)
-        if t <= 2.0:
-            return 0.0
-        return t / 4.0 + 1.0 / t - 1.0
+        return _uniform_m(t)
 
     return OrliczFunction(eval=ev, zero_threshold=2.0, kind="tail-integral")
 
@@ -359,20 +364,19 @@ def _coordinate_reader(body: BodySpec) -> tuple[Callable[[float], tuple[float, f
     v = 1 - u in [0, y] gives y^b sum_k [tR a_k(2/p-1) - a_k(1/p-1)] y^k / (b+k),
     whose k = 0 coefficient tR - 1 = expm1(log tR) is exact, and the same
     a_k(2/p-1) give J(2/p) = y^b sum_k a_k(2/p-1) y^k / (b+k).  The cube and
-    n = 1 have the uniform law on [-1/2, 1/2], M(t) = (t - 2)^2 / (4t) past
-    t = 2 (from_cube's t/4 + 1/t - 1 without its cancellation)."""
+    n = 1 have the uniform law of from_cube (_uniform_m)."""
     p, n = body.p, body.n
     if math.isinf(p) or n == 1:
 
         def uniform(t: float) -> tuple[float, float]:
             if t <= 2.0:
                 return 0.0, 0.0
-            return (t - 2.0) ** 2 / (4.0 * t), 0.25 - 1.0 / (t * t)
+            return _uniform_m(t), 0.25 - 1.0 / (t * t)
 
         return uniform, 0.5
     radius = normalization_scale(body)
     a, b = 1.0 / p, (n - 1) / p + 1.0
-    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    log_b = log_beta(a, b)
 
     def edge_series(log_tr: float, y: float) -> tuple[float, float]:
         d = math.expm1(log_tr)
@@ -387,7 +391,7 @@ def _coordinate_reader(body: BodySpec) -> tuple[Callable[[float], tuple[float, f
             total += term
             slope += coeff * power / (b + k)
             if abs(term) <= 1e-17 * abs(total):
-                scale = math.exp(b * math.log(y) - log_beta)
+                scale = math.exp(b * math.log(y) - log_b)
                 return scale * total, radius * scale * slope
         raise AccuracyError(f"edge series of M did not converge at y = {y}")
 
@@ -401,7 +405,7 @@ def _coordinate_reader(body: BodySpec) -> tuple[Callable[[float], tuple[float, f
             return edge_series(log_tr, y)
         j2 = beta_tail(2.0 * a, b, log_x)
         upper = t * radius * j2 - beta_tail(a, b, log_x)
-        return upper / math.exp(log_beta), radius * j2 / math.exp(log_beta)
+        return upper / math.exp(log_b), radius * j2 / math.exp(log_b)
 
     return read, radius
 
@@ -423,26 +427,29 @@ def from_coordinate(body: BodySpec) -> OrliczFunction:
 
 def _coordinate_root(body: BodySpec, N: int) -> float:
     """invert_for_support(from_coordinate(body), N) by safeguarded Newton
-    steps on F(u) = log(N M(e^{-u})), u = log s, reading (M, M') together
-    (_coordinate_reader): the first read point s with |F| <= 1e-9.
+    steps on F = log(N M(1/s)) against v = log(log R - log s), reading
+    (M, M') together (_coordinate_reader): the first read point s with
+    |F| <= 1e-9.
 
-    F decreases with slope -t M'(t) / M(t) <= -1 at t = 1/s, since convex M
-    with M(0) = 0 has M(t) <= t M'(t).  So a read F(u) = f puts the root
-    u* between u and u + f, and |f| bounds |log s - log s*|: the stop is a
-    bound on the relative error of s, not a bracket width.  Every read
-    narrows the bracket (lo, hi) of u*, which starts at hi = log R, where M
-    vanishes; a Newton step u + f / elasticity that leaves it, or a read
-    where M vanishes (F = -inf), gives way to the midpoint, or to halving s
-    while no lower end is known.  Where the rounding of M jumps over the
-    1e-9 band (p = 1 at n = 10^7, where log B(1, b) and beta_tail err by
-    1e-8 or more), the root is exp(hi) once the bracket is narrower than
-    1e-9.  The first read is at min(0.9 R, 2 L_K), an O(1) scale of the
-    law (L_K the isotropic constant), so no search range limits how far R
-    lies from the root."""
+    In u = log s, F decreases with slope -e, e = t M'(t) / M(t) >= 1 at
+    t = 1/s, since convex M with M(0) = 0 has M(t) <= t M'(t).  So a read
+    F = f puts the root u* between u and u + f, and |f| bounds
+    |log s - log s*|: the stop is a bound on the relative error of s, not a
+    bracket width.  Near R, M ~ C (tR - 1)^k makes F nearly linear in v,
+    with slope e w, w = log R - u; a Newton step in u overshoots there onto
+    M's flat part, while the step in v stays below R.  Every read narrows
+    the bracket (lo, hi) of u*, which starts at hi = log R, where M
+    vanishes; a step that leaves it, or a read where M vanishes
+    (F = -inf), gives way to the midpoint, or to halving s while no lower
+    end is known.  Where the rounding of M jumps over the 1e-9 band (p = 1
+    at n = 10^7, where beta_tail errs by 1e-8 or more), the root is
+    exp(hi) once the bracket is narrower than 1e-9.  The first read is at
+    min(0.9 R, 2 L_K), an O(1) scale of the law (L_K the isotropic
+    constant), so no search range limits how far R lies from the root."""
     N = whole(N, "N")
     read, radius = _coordinate_reader(body)
-    log_level = math.log(N)
-    lo, hi = -math.inf, math.log(radius)
+    log_level, log_radius = math.log(N), math.log(radius)
+    lo, hi = -math.inf, log_radius
     u = math.log(min(0.9 * radius, 2.0 * isotropic_constant(body)))
     for _ in range(_ROOT_STEPS):
         s = math.exp(u)
@@ -455,7 +462,10 @@ def _coordinate_root(body: BodySpec, N: int) -> float:
                 lo, hi = u, min(hi, u + f)
             else:
                 lo, hi = max(lo, u + f), u
-            step = u + f * m * s / slope
+            # convexity also gives e w >= 1, so the exponent is at most
+            # -f <= 745; past 709 the step leaves the bracket all the same
+            w = log_radius - u
+            step = log_radius - w * math.exp(min(-f * m * s / (slope * w), 709.0))
         else:
             hi, step = u, math.nan
         if hi - lo <= _ROOT_TOL:

@@ -2,7 +2,8 @@
 
 The N-scan table (criteria 4-6) is computed once per session and shared.
 Every tolerance is asserted exactly as stated; measured runtimes are
-printed alongside and checked against the stated budgets.
+printed alongside and checked against the stated budgets.  One more test
+holds the exact E max oracle of criteria 4-6 against mpmath.
 """
 
 import math
@@ -64,8 +65,13 @@ def cube_formula(N):
 
 def exact_expected_max(p, n, N):
     """E max_{i<=N} |<X_i, e_1>| = int_0^R (1 - G(t)^N) dt, where
-    1 - G(t) = P(|X_1| > t) is the regularized I_{1-(t/R)^p}((n-1)/p + 1, 1/p)."""
-    radius = normalization_scale(BodySpec(p, n))
+    1 - G(t) = P(|X_1| > t) is the regularized I_{1-(t/R)^p}((n-1)/p + 1, 1/p).
+
+    The integrand drops from 1 to about N (1 - G(t)) near the Orlicz root
+    s*, which at small n and large N lies close to R, so the integral is
+    split at s* and on a geometric grid between s* and R."""
+    body = BodySpec(p, n)
+    radius = normalization_scale(body)
     if math.isinf(p):
         return radius * N / (N + 1.0)
     a = (n - 1) / p + 1.0
@@ -74,7 +80,30 @@ def exact_expected_max(p, n, N):
         tail = betainc(a, 1.0 / p, 1.0 - (t / radius) ** p)
         return 1.0 if tail >= 1.0 else -math.expm1(N * math.log1p(-tail))
 
-    return quad(gap, 0.0, radius, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+    root = expected_support_orlicz(body, 0, N)
+    pts = [0.0, root, *(root + (radius - root) * np.geomspace(1e-3, 1.0, 13))]
+    return math.fsum(quad(gap, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)[0] for lo, hi in zip(pts, pts[1:]))
+
+
+def test_exact_expected_max_against_mpmath():
+    # the oracle of criteria 4-6 on a cell whose drop lies within 0.17% of R;
+    # integrated in one piece over [0, R] it erred by 2.0e-6 relative here.
+    # The reference splits at other points: 0.5 s*, 0.9 s*, s* and 25
+    # geometric points from 1e-5 to 1 of the way from s* to R
+    p, n, N = 16.0, 2, 10**6
+    with mpmath.workdps(30):
+        radius = mpmath.mpf(normalization_scale(BodySpec(p, n)))
+        a = mpmath.mpf(n - 1) / p + 1
+
+        def gap(t):
+            tail = mpmath.betainc(a, mpmath.mpf(1) / p, 0, 1 - (t / radius) ** p, regularized=True)
+            return -mpmath.expm1(N * mpmath.log1p(-tail))
+
+        root = mpmath.mpf(expected_support_orlicz(BodySpec(p, n), 0, N))
+        pts = [0, 0.5 * root, 0.9 * root, root]
+        pts += [root + (radius - root) * mpmath.mpf(f) for f in np.geomspace(1e-5, 1.0, 25).tolist()]
+        want = float(mpmath.quad(gap, pts))
+    assert exact_expected_max(p, n, N) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.fixture(scope="module")

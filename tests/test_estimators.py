@@ -97,10 +97,10 @@ class TestExpectedSupportOrlicz:
     def test_p1_closed_form_at_large_n(self, n, N):
         # for p = 1, |X_1| / R ~ Beta(1, n), so the root solves
         # N R (1 - s/R)^(n+1) / (n+1) = s; the generic search refuses these
-        # cells (the root lies below radius / 1e6).  Measured error: 1.9e-8
-        # at n = 1e7, N = 10, at most 3.7e-9 elsewhere; it is the error of M
-        # itself, not of the search: at b = 1e7, log B(1, b) from two lgamma
-        # values errs by 1.5e-8, and beta_tail by up to 9e-8
+        # cells (the root lies below radius / 1e6).  Measured error: 5.0e-10
+        # at n = 1e7, N = 10, at most 2.7e-10 elsewhere; it is the error of
+        # M itself, not of the search: at b = 1e7 beta_tail errs by up to
+        # 2.8e-9 relative (1 - x rounded, raised to the power b)
         R = normalization_scale(BodySpec(1.0, n))
 
         def gap(s):  # log of the left side over the right, decreasing in s

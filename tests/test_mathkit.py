@@ -14,6 +14,7 @@ from orlicz_polytope.mathkit import (
     beta_tail,
     bracket,
     brent,
+    log_beta,
     quad_adaptive,
     quad_batch,
     quad_cumulative,
@@ -92,6 +93,27 @@ def mp_beta_tail(alpha, b, log_x):
 # of the l_p coordinate law, and x = (s/R)^p
 BETA_P = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0)
 BETA_N = (2, 10, 30, 50)
+
+
+class TestLogBeta:
+    # a = 1/p, 2/p and 3/p are the shapes the coordinate law and L_K read;
+    # lgamma(a) + lgamma(b) - lgamma(a + b) erred by up to 4.2e-8 here
+    @pytest.mark.parametrize("b", [1e4, 2e6, 1e7])
+    @pytest.mark.parametrize("a", [1.0 / 16.0, 0.25, 0.5, 1.0, 2.0, 3.0])
+    def test_large_b_against_mpmath(self, a, b):
+        with mpmath.workdps(40):
+            want = mpmath.log(mpmath.beta(a, b))
+        assert abs(log_beta(a, b) - float(want)) <= 1e-14
+
+    @pytest.mark.parametrize("a, b", [(0.5, 1.0), (3.0, 7.99), (1.5, 8.0), (0.25, 30.0), (7.9, 1e3)])
+    def test_moderate_b_against_mpmath(self, a, b):
+        with mpmath.workdps(40):
+            want = mpmath.log(mpmath.beta(a, b))
+        assert abs(log_beta(a, b) - float(want)) <= 1e-14
+
+    def test_symmetric(self):
+        for a, b in [(0.5, 3.0), (2.0, 1e7), (1.0 / 3.0, 11.0)]:
+            assert log_beta(a, b) == log_beta(b, a)
 
 
 class TestBetaTail:

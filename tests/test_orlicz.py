@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -182,9 +183,8 @@ class TestCoordinateRoot:
 
     @staticmethod
     def gap(body, N, s):
-        # the root's own reading of M: from_coordinate's M bit for bit on the
-        # beta law (test_reader_is_from_coordinate), and on the uniform law
-        # (t - 2)^2 / (4t), which keeps its relative precision as t nears 2
+        # the root's own reading of M: from_coordinate's M bit for bit
+        # (test_reader_is_from_coordinate)
         read, _ = orlicz._coordinate_reader(body)
         return N * read(1.0 / s)[0] - 1.0
 
@@ -229,9 +229,10 @@ class TestCoordinateRoot:
         assert abs(math.log1p(self.gap(body, N, s))) <= 1e-9
         assert self.gap(body, N, s * (1 - 2e-9)) > 0 > self.gap(body, N, s * (1 + 2e-9))
 
-    def test_m_reads_on_canonical_cells(self, monkeypatch):
-        # the 70 canonical cells of the orlicz-grid benchmark; the generic
-        # search reads M 970 times on them (TestInversion)
+    @staticmethod
+    def count_reads(monkeypatch):
+        """A list that gains one entry per read of every reader built after
+        this call."""
         reads = []
         reader = orlicz._coordinate_reader
 
@@ -240,11 +241,27 @@ class TestCoordinateRoot:
             return (lambda t: reads.append(t) or read(t)), radius
 
         monkeypatch.setattr(orlicz, "_coordinate_reader", counting)
+        return reads
+
+    def test_m_reads_on_canonical_cells(self, monkeypatch):
+        # the 70 canonical cells of the orlicz-grid benchmark; the generic
+        # search reads M 970 times on them (TestInversion)
+        reads = self.count_reads(monkeypatch)
         for p in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, INF):
             for n in (10, 30):
                 for N in (10**2, 10**3, 10**4, 10**5, 10**6):
                     orlicz._coordinate_root(BodySpec(p, n), N)
-        assert len(reads) <= 485  # measured: 454, at most 12 for one root
+        assert len(reads) <= 485  # measured: 311, at most 6 for one root
+
+    @pytest.mark.parametrize("body", [BodySpec(INF, 5), BodySpec(2.0, 2), BodySpec(4.0, 2), BodySpec(16.0, 3)])
+    def test_roots_near_the_support_radius(self, body, monkeypatch):
+        # at N = 1e12 these roots lie within 3e-5 of R, where Newton in log s
+        # once landed on M's flat part and took 18-22 reads; 12 is the most
+        # any canonical cell above takes
+        reads = self.count_reads(monkeypatch)
+        s = orlicz._coordinate_root(body, 10**12)
+        assert 1.0 - s / normalization_scale(body) < 3e-5
+        assert len(reads) <= 12  # measured: 3 to 4
 
 
 class TestClosedForms:
@@ -301,6 +318,15 @@ class TestClosedForms:
             )
             assert m_pball_second(1.0, n, s) == pytest.approx(want, rel=1e-12)
             assert m_pball_first(1.0, n, s) == pytest.approx(want, rel=1e-9)
+
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9])
+    def test_cube_near_its_threshold(self, gap):
+        # t/4 + 1/t - 1 in exact arithmetic on the float t; evaluated in
+        # floats that form erred by 8.9e-5 and 1.0 relative here
+        t = 2.0 + gap
+        x = Fraction(t)
+        assert from_cube().eval(t) == pytest.approx(float(x / 4 + 1 / x - 1), rel=1e-15, abs=0.0)
 
 
 class TestSpherical:
