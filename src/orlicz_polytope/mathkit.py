@@ -90,45 +90,22 @@ def ball_volume_ratio(p: float, n: int) -> float:
     return math.exp(ball_volume_log(p, n - 1) - ball_volume_log(p, n))
 
 
-# Coefficients of the Stirling-series correction of ln Gamma in log_beta
-# (DiDonato and Morris, ACM TOMS 18, 1992, algdiv), and the larger argument
-# from which log_beta uses them.
-_STIRLING = (
-    0.833333333333333e-01,
-    -0.277777777760991e-02,
-    0.793650666825390e-03,
-    -0.595202931351870e-03,
-    0.837308034031215e-03,
-    -0.165322962780713e-02,
-)
-_STIRLING_FROM = 8.0
+# c_k of the Stirling correction sum_k c_k x^-(2k+1) of ln Gamma(x), x >= 8
+_STIRLING = (0.833333333333333e-01, -0.277777777760991e-02, 0.793650666825390e-03,
+             -0.595202931351870e-03, 0.837308034031215e-03, -0.165322962780713e-02)
 
 
 def log_beta(a: float, b: float) -> float:
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b), a, b > 0.
-
-    With a <= b (the arguments are swapped otherwise) and b >= 8, the last
-    two terms, which cancel at large b, come from the difference of their
-    Stirling series (algdiv of DiDonato and Morris, ACM TOMS 18, 1992):
-
-        ln Gamma(b) - ln Gamma(a + b) = w - (a + b - 1/2) log1p(a / b) - a (ln b - 1),
-
-    w = D(b) - D(a + b) for the series' correction D(x) = sum_k c_k x^-(2k+1),
-    summed as (a / (a + b)) sum_k c_k b^-(2k+1) (1 + x + ... + x^(2k)),
-    x = b / (a + b), with no cancellation."""
+    With a <= b and b >= 8, the last two terms, which cancel at large b, are
+    the difference of their Stirling series, as in algdiv of DiDonato and
+    Morris (ACM TOMS 18, 1992): the corrections' difference, less
+    (a + b - 1/2) log1p(a / b) + a (ln b - 1)."""
     a, b = min(a, b), max(a, b)
-    if b < _STIRLING_FROM:
+    if b < 8.0:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    x = b / (a + b)
-    sums = [1.0]  # 1 + x + ... + x^(2k) for k = 0, 1, ...
-    for _ in _STIRLING[1:]:
-        sums.append(1.0 + (x + x * x * sums[-1]))
-    w = 0.0
-    for coeff, total in zip(reversed(_STIRLING), reversed(sums)):
-        w = w / (b * b) + coeff * total
-    w *= (a / (a + b)) / b
-    u, v = (a + b - 0.5) * math.log1p(a / b), a * (math.log(b) - 1.0)
-    return math.lgamma(a) + ((w - v) - u if u > v else (w - u) - v)
+    w = sum(c * (b ** -k - (a + b) ** -k) for c, k in zip(_STIRLING, range(1, 12, 2)))
+    return math.lgamma(a) + w - (a + b - 0.5) * math.log1p(a / b) - a * (math.log(b) - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bodies import BodySpec, MarginalDensity, coordinate_marginal, isotropic_constant, normalization_scale
-from .errors import AccuracyError, DomainError, EstimationError, RangeError, whole
+from .errors import AccuracyError, DomainError, EstimationError, whole
 from .mathkit import (
     ball_volume_log,
     ball_volume_ratio,
@@ -53,11 +53,9 @@ __all__ = [
     "export_tabulation",
 ]
 
-# Bracketing limit of the inversion's search; outside it we refuse to
-# extrapolate and raise RangeError instead.
+# Bracketing limit of invert_for_support, beyond which it refuses to
+# extrapolate and raises RangeError, and the relative width at which it stops.
 BRACKET_LIMIT = 1e6
-
-# Relative width at which the inversion stops.
 _INVERT_REL_TOL = 1e-9
 
 # Relative tolerances of the quadrature of every M representation, and of
@@ -289,18 +287,21 @@ def from_power(exponent: float, coeff: float = 1.0) -> OrliczFunction:
     return OrliczFunction(eval=ev, zero_threshold=0.0, kind="power")
 
 
-def _uniform_m(t: float) -> float:
-    """M of the uniform law on [-1/2, 1/2]: (t - 2)^2 / (4t) past t = 2,
-    which is t/4 + 1/t - 1 without its cancellation near 2."""
-    return (t - 2.0) ** 2 / (4.0 * t) if t > 2.0 else 0.0
+def _uniform_law(t: float) -> tuple[float, float]:
+    """(M(t), M'(t)) of the uniform law on [-1/2, 1/2]: (t - 2)^2 / (4t),
+    which is t/4 + 1/t - 1 without its cancellation near 2, and 1/4 - 1/t^2
+    past t = 2."""
+    if t <= 2.0:
+        return 0.0, 0.0
+    return (t - 2.0) ** 2 / (4.0 * t), 0.25 - 1.0 / (t * t)
 
 
 def from_cube() -> OrliczFunction:
-    """Coordinate tail integral of the volume-1 cube (_uniform_m)."""
+    """Coordinate tail integral of the volume-1 cube (_uniform_law)."""
 
     def ev(t: float) -> float:
         _check_t(t)
-        return _uniform_m(t)
+        return _uniform_law(t)[0]
 
     return OrliczFunction(eval=ev, zero_threshold=2.0, kind="tail-integral")
 
@@ -364,16 +365,10 @@ def _coordinate_reader(body: BodySpec) -> tuple[Callable[[float], tuple[float, f
     v = 1 - u in [0, y] gives y^b sum_k [tR a_k(2/p-1) - a_k(1/p-1)] y^k / (b+k),
     whose k = 0 coefficient tR - 1 = expm1(log tR) is exact, and the same
     a_k(2/p-1) give J(2/p) = y^b sum_k a_k(2/p-1) y^k / (b+k).  The cube and
-    n = 1 have the uniform law of from_cube (_uniform_m)."""
+    n = 1 have the uniform law of from_cube (_uniform_law)."""
     p, n = body.p, body.n
     if math.isinf(p) or n == 1:
-
-        def uniform(t: float) -> tuple[float, float]:
-            if t <= 2.0:
-                return 0.0, 0.0
-            return _uniform_m(t), 0.25 - 1.0 / (t * t)
-
-        return uniform, 0.5
+        return _uniform_law, 0.5
     radius = normalization_scale(body)
     a, b = 1.0 / p, (n - 1) / p + 1.0
     log_b = log_beta(a, b)
@@ -428,24 +423,18 @@ def from_coordinate(body: BodySpec) -> OrliczFunction:
 def _coordinate_root(body: BodySpec, N: int) -> float:
     """invert_for_support(from_coordinate(body), N) by safeguarded Newton
     steps on F = log(N M(1/s)) against v = log(log R - log s), reading
-    (M, M') together (_coordinate_reader): the first read point s with
-    |F| <= 1e-9.
+    (M, M') together (_coordinate_reader): the first read s with |F| <= 1e-9.
 
-    In u = log s, F decreases with slope -e, e = t M'(t) / M(t) >= 1 at
-    t = 1/s, since convex M with M(0) = 0 has M(t) <= t M'(t).  So a read
-    F = f puts the root u* between u and u + f, and |f| bounds
-    |log s - log s*|: the stop is a bound on the relative error of s, not a
-    bracket width.  Near R, M ~ C (tR - 1)^k makes F nearly linear in v,
-    with slope e w, w = log R - u; a Newton step in u overshoots there onto
-    M's flat part, while the step in v stays below R.  Every read narrows
-    the bracket (lo, hi) of u*, which starts at hi = log R, where M
-    vanishes; a step that leaves it, or a read where M vanishes
-    (F = -inf), gives way to the midpoint, or to halving s while no lower
-    end is known.  Where the rounding of M jumps over the 1e-9 band (p = 1
-    at n = 10^7, where beta_tail errs by 1e-8 or more), the root is
-    exp(hi) once the bracket is narrower than 1e-9.  The first read is at
-    min(0.9 R, 2 L_K), an O(1) scale of the law (L_K the isotropic
-    constant), so no search range limits how far R lies from the root."""
+    Convex M with M(0) = 0 has e = t M'(t) / M(t) >= 1, the slope of -F in
+    u = log s, so a read F = f puts the root between u and u + f, and |f|
+    bounds the relative error of s.  Near R, M ~ C (tR - 1)^k makes F nearly
+    linear in v; a step in v stays below R, where Newton in u overshoots
+    onto M's flat part.  A step that leaves the bracket of the reads so far
+    (from hi = log R), or a read where M vanishes, gives way to the
+    midpoint, or to halving s while no lower end is known; where the
+    rounding of M jumps over the 1e-9 band, the root is exp(hi) once the
+    bracket is that narrow.  The first read is at min(0.9 R, 2 L_K), an
+    O(1) scale of the law (L_K the isotropic constant)."""
     N = whole(N, "N")
     read, radius = _coordinate_reader(body)
     log_level, log_radius = math.log(N), math.log(radius)
@@ -462,10 +451,8 @@ def _coordinate_root(body: BodySpec, N: int) -> float:
                 lo, hi = u, min(hi, u + f)
             else:
                 lo, hi = max(lo, u + f), u
-            # convexity also gives e w >= 1, so the exponent is at most
-            # -f <= 745; past 709 the step leaves the bracket all the same
             w = log_radius - u
-            step = log_radius - w * math.exp(min(-f * m * s / (slope * w), 709.0))
+            step = log_radius - w * math.exp(-f * m * s / (slope * w))
         else:
             hi, step = u, math.nan
         if hi - lo <= _ROOT_TOL:
@@ -618,11 +605,10 @@ def dual_involution_error(M: OrliczFunction, ts: Sequence[float]) -> float:
 
 
 def invert_for_support(M: OrliczFunction, N: int) -> float:
-    """inf{s > 0 : M(1/s) <= 1/N}, the support-function estimate at level N
-    (the Orlicz norm of (1, ..., 1) in R^N), to a relative width of 1e-9:
-    the upper end of the final brent bracket of the gap N M(1/s) - 1, which
-    decreases in s.  The bracket grows from 1 over M's zero threshold, where
-    M(1/s) vanishes (from 1 when M vanishes only at 0)."""
+    """inf{s > 0 : M(1/s) <= 1/N}, the Orlicz norm of (1, ..., 1) in R^N, to
+    a relative width of 1e-9: the upper end of the final brent bracket of the
+    decreasing gap N M(1/s) - 1, grown from 1 over M's zero threshold (from 1
+    when M vanishes only at 0)."""
     N = whole(N, "N")
 
     def gap(s: float) -> float:
