@@ -256,8 +256,8 @@ class TestCoordinateRoot:
     @pytest.mark.parametrize("body", [BodySpec(INF, 5), BodySpec(2.0, 2), BodySpec(4.0, 2), BodySpec(16.0, 3)])
     def test_roots_near_the_support_radius(self, body, monkeypatch):
         # at N = 1e12 these roots lie within 3e-5 of R, where Newton in log s
-        # once landed on M's flat part and took 18-22 reads; 12 is the most
-        # any canonical cell above takes
+        # landed on M's flat part and took 18-22 reads, against at most 12 on
+        # the canonical cells above
         reads = self.count_reads(monkeypatch)
         s = orlicz._coordinate_root(body, 10**12)
         assert 1.0 - s / normalization_scale(body) < 3e-5
